@@ -41,10 +41,12 @@ bench-json:
 # sched-smoke runs the schedule-equivalence battery under the race
 # detector: the pipelined schedule must land on byte-identical model
 # state to strict BSP across algorithms, executors and fault injection,
-# with no data races in the overlapped driver loop or the fused dispatch.
+# with no data races in the overlapped driver loop or either executor's
+# stage runner.
 sched-smoke:
 	$(GO) test -race -count=1 -run '^TestScheduleEquivalence' .
 	$(GO) test -race -count=1 ./internal/mbsp/sched/
+	$(GO) test -race -count=1 -run '^TestDispatchStage' ./internal/mbsp/
 	$(GO) test -race -count=1 -run '^TestDispatchStage' ./internal/mbsp/rpcexec/
 
 # shard-smoke runs the sharded-global-update equivalence battery under

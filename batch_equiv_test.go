@@ -21,22 +21,36 @@ type batchEquivRun struct {
 	state []byte // gob-encoded driver model: byte equality = bit identity
 }
 
-// runBatchEquiv runs the figure workload on the local executor with the
-// batched assign path toggled and captures the final model state. The
-// toggle is process-local, so this battery uses the in-process executor
-// (TCP workers would not see the flip; the schedule/shard batteries
-// already cover cross-executor identity of the assign output).
+// scalarAlgorithm wraps every snapshot its algorithm builds in a
+// scalarSnapshot, so the assign op takes its per-record loop.
+type scalarAlgorithm struct{ diststream.Algorithm }
+
+func (a scalarAlgorithm) NewSnapshot(mcs []core.MicroCluster) core.Snapshot {
+	return scalarSnapshot{a.Algorithm.NewSnapshot(mcs)}
+}
+
+// scalarSnapshot hides every optional capability of the snapshot it
+// wraps — core.BatchNearester in particular.
+type scalarSnapshot struct{ core.Snapshot }
+
+// runBatchEquiv runs the figure workload on the local executor, batched
+// or through scalarAlgorithm, and captures the final model state. The
+// wrapped snapshots are not wire types, so this battery uses the
+// in-process executor (the schedule/shard batteries already cover
+// cross-executor identity of the assign output).
 func runBatchEquiv(t *testing.T, algoName string, batched bool) batchEquivRun {
 	t.Helper()
 	diststream.RegisterWireTypes()
-	restore := core.SetBatchAssign(batched)
-	defer restore()
 	sys, err := diststream.New(diststream.Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	pl, err := sys.NewPipeline(newFacadeAlgo(t, sys, algoName), diststream.PipelineOptions{
+	algo := newFacadeAlgo(t, sys, algoName)
+	if !batched {
+		algo = scalarAlgorithm{algo}
+	}
+	pl, err := sys.NewPipeline(algo, diststream.PipelineOptions{
 		BatchSeconds: 1,
 		InitRecords:  100,
 	})

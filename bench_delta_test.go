@@ -113,7 +113,7 @@ func benchTCPPipeline(b *testing.B, delta bool) {
 	_, addrs := startFacadeCluster(b, 3)
 	sys, err := diststream.New(diststream.Options{
 		WorkerAddrs: addrs,
-		RPC: diststream.RPCOptions{
+		Execution: diststream.ExecutionOptions{
 			CallTimeout:    10 * time.Second,
 			DeltaBroadcast: delta,
 		},

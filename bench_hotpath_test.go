@@ -28,7 +28,7 @@ import (
 // and a batch of records dealt round-robin over p partitions. Records
 // come from gen (randRecord for the tabular grid fixture, embedRecordGen
 // for embedding geometry).
-func assignBenchEnv(b *testing.B, dim, numMC, records, p int, gen func(rng *rand.Rand, seq uint64) stream.Record) (*mbsp.LocalExecutor, []mbsp.Partition) {
+func assignBenchEnv(b *testing.B, dim, numMC, records, p int, gen func(rng *rand.Rand, seq uint64) stream.Record) (*mbsp.LocalExecutor, []mbsp.Partition, core.Snapshot) {
 	b.Helper()
 	algos := core.NewAlgorithmRegistry()
 	if err := clustream.Register(algos); err != nil {
@@ -80,7 +80,7 @@ func assignBenchEnv(b *testing.B, dim, numMC, records, p int, gen func(rng *rand
 	if err != nil {
 		b.Fatal(err)
 	}
-	return exec, parts
+	return exec, parts, snap
 }
 
 // randRecord scatters records around numMC cluster sites in [0,10)^dim
@@ -149,7 +149,7 @@ func BenchmarkAssignOp(b *testing.B) {
 		records = 4096
 		p       = 4
 	)
-	exec, parts := assignBenchEnv(b, dim, numMC, records, p,
+	exec, parts, _ := assignBenchEnv(b, dim, numMC, records, p,
 		func(rng *rand.Rand, seq uint64) stream.Record { return randRecord(rng, seq, dim, numMC) })
 	defer exec.Close()
 	ctx := context.Background()
@@ -176,15 +176,16 @@ func BenchmarkAssignOpDimSweep(b *testing.B) {
 		p       = 4
 	)
 	for _, dim := range []int{2, 32, 128, 768} {
-		exec, parts := assignBenchEnv(b, dim, numMC, records, p, embedRecordGen(dim, 12))
+		exec, parts, snap := assignBenchEnv(b, dim, numMC, records, p, embedRecordGen(dim, 12))
 		for _, mode := range []struct {
-			name    string
-			batched bool
-		}{{"batched", true}, {"scalar", false}} {
+			name string
+			snap core.Snapshot
+		}{{"batched", snap}, {"scalar", scalarSnapshot{snap}}} {
 			b.Run(fmt.Sprintf("d%d/%s", dim, mode.name), func(b *testing.B) {
-				restore := core.SetBatchAssign(mode.batched)
-				defer restore()
 				ctx := context.Background()
+				if err := exec.Broadcast(ctx, core.BroadcastModel, mode.snap); err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -209,7 +210,7 @@ func BenchmarkAssignShuffle(b *testing.B) {
 		records = 4096
 		p       = 4
 	)
-	exec, parts := assignBenchEnv(b, dim, numMC, records, p,
+	exec, parts, _ := assignBenchEnv(b, dim, numMC, records, p,
 		func(rng *rand.Rand, seq uint64) stream.Record { return randRecord(rng, seq, dim, numMC) })
 	defer exec.Close()
 	ctx := context.Background()

@@ -59,7 +59,7 @@ func runCheckpointedFacade(t *testing.T, algoName string, addrs []string, delta 
 	sys, err := diststream.New(diststream.Options{
 		Parallelism: 3,
 		WorkerAddrs: addrs,
-		RPC:         diststream.RPCOptions{DeltaBroadcast: delta},
+		Execution:   diststream.ExecutionOptions{DeltaBroadcast: delta},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestFacadeSpeculationOptionWiring(t *testing.T) {
 	// for the local executor...
 	_, err := diststream.New(diststream.Options{
 		Parallelism: 2,
-		Speculation: &diststream.SpeculationConfig{Multiplier: 0.5},
+		Execution:   diststream.ExecutionOptions{Speculation: &diststream.SpeculationConfig{Multiplier: 0.5}},
 	})
 	if err == nil {
 		t.Fatal("invalid speculation config accepted")
@@ -178,7 +178,7 @@ func TestFacadeSpeculationOptionWiring(t *testing.T) {
 	// so no backups launch).
 	sys, err := diststream.New(diststream.Options{
 		Parallelism: 2,
-		Speculation: &diststream.SpeculationConfig{},
+		Execution:   diststream.ExecutionOptions{Speculation: &diststream.SpeculationConfig{}},
 	})
 	if err != nil {
 		t.Fatal(err)

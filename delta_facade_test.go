@@ -55,7 +55,7 @@ func runDeltaFacade(t *testing.T, algoName string, delta bool) deltaFacadeRun {
 	_, addrs := startFacadeCluster(t, 3)
 	sys, err := diststream.New(diststream.Options{
 		WorkerAddrs: addrs,
-		RPC: diststream.RPCOptions{
+		Execution: diststream.ExecutionOptions{
 			CallTimeout:    10 * time.Second,
 			MaxRetries:     1,
 			Backoff:        10 * time.Millisecond,
@@ -84,7 +84,7 @@ func runDeltaFacade(t *testing.T, algoName string, delta bool) deltaFacadeRun {
 	return deltaFacadeRun{stats: stats, state: state}
 }
 
-// The satellite acceptance scenario: with RPCOptions.DeltaBroadcast on,
+// The acceptance scenario: with ExecutionOptions.DeltaBroadcast on,
 // the pipeline output over TCP is bit-identical to the full-snapshot path
 // for both acceptance algorithms — deltas are purely a wire optimization.
 func TestFacadeDeltaBroadcastBitIdentical(t *testing.T) {

@@ -121,9 +121,7 @@ const (
 // execute: the schedule strategy, broadcast encoding, straggler
 // speculation, the TCP executor's fault-tolerance timings and the
 // default checkpoint cadence. Zero-valued fields take the documented
-// defaults; fields left zero also inherit from the deprecated
-// Options.RPC and Options.Speculation aliases, so existing callers keep
-// working unchanged.
+// defaults.
 type ExecutionOptions struct {
 	// Schedule selects the batch execution strategy: ScheduleBSP
 	// (default) or SchedulePipelined.
@@ -193,24 +191,6 @@ type MembershipOptions struct {
 	JoinBarrier time.Duration
 }
 
-// RPCOptions tunes the TCP executor's fault tolerance.
-//
-// Deprecated: the fields moved into ExecutionOptions (same names, same
-// semantics — DeltaBroadcast included). Options.RPC is still honored for
-// any field the Execution block leaves zero.
-type RPCOptions struct {
-	// DialTimeout bounds each TCP connection attempt. Default 5s.
-	DialTimeout time.Duration
-	// CallTimeout bounds each task/broadcast round trip. Default 30s.
-	CallTimeout time.Duration
-	// MaxRetries is the number of extra attempts per call. Default 2.
-	MaxRetries int
-	// Backoff is the sleep before the first retry. Default 50ms.
-	Backoff time.Duration
-	// DeltaBroadcast ships model snapshots as deltas.
-	DeltaBroadcast bool
-}
-
 // Options configures a System.
 type Options struct {
 	// Parallelism is the number of workers (the paper's parallelism
@@ -224,42 +204,6 @@ type Options struct {
 	// broadcast, speculation, TCP fault-tolerance timings, checkpoint
 	// cadence.
 	Execution ExecutionOptions
-	// RPC tunes timeouts, retries and backoff for the TCP executor.
-	//
-	// Deprecated: use Execution. Still honored for fields Execution
-	// leaves zero.
-	RPC RPCOptions
-	// Speculation launches backup copies of straggling tasks.
-	//
-	// Deprecated: use Execution.Speculation. Still honored when
-	// Execution.Speculation is nil.
-	Speculation *SpeculationConfig
-}
-
-// execution resolves the effective execution options: the Execution
-// block wins field-by-field, with the deprecated RPC/Speculation aliases
-// filling any field left zero.
-func (o Options) execution() ExecutionOptions {
-	ex := o.Execution
-	if ex.DialTimeout == 0 {
-		ex.DialTimeout = o.RPC.DialTimeout
-	}
-	if ex.CallTimeout == 0 {
-		ex.CallTimeout = o.RPC.CallTimeout
-	}
-	if ex.MaxRetries == 0 {
-		ex.MaxRetries = o.RPC.MaxRetries
-	}
-	if ex.Backoff == 0 {
-		ex.Backoff = o.RPC.Backoff
-	}
-	if !ex.DeltaBroadcast {
-		ex.DeltaBroadcast = o.RPC.DeltaBroadcast
-	}
-	if ex.Speculation == nil {
-		ex.Speculation = o.Speculation
-	}
-	return ex
 }
 
 // System owns the execution engine and the algorithm registry. Create one
@@ -280,7 +224,7 @@ func New(opts Options) (*System, error) {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 1
 	}
-	ex := opts.execution()
+	ex := opts.Execution
 	schedule, err := sched.New(ex.Schedule)
 	if err != nil {
 		return nil, fmt.Errorf("diststream: %w", err)

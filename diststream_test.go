@@ -230,7 +230,7 @@ func runFacadeTCP(t *testing.T, kill bool) facadeRunResult {
 	workers, addrs := startFacadeCluster(t, 3)
 	sys, err := diststream.New(diststream.Options{
 		WorkerAddrs: addrs,
-		RPC: diststream.RPCOptions{
+		Execution: diststream.ExecutionOptions{
 			CallTimeout: 10 * time.Second,
 			MaxRetries:  1,
 			Backoff:     10 * time.Millisecond,

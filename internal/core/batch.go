@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"diststream/internal/mbsp"
 	"diststream/internal/stream"
@@ -14,10 +13,12 @@ import (
 // can drive the blocked many-vs-many kernel (vector.BatchArgminBelow)
 // and reuse centers tiles across the record block. The batched path is
 // an optional capability discovered by type-assert, like
-// ShardedGlobalUpdater: snapshots that don't implement it (the D-Stream
-// grid) keep the per-record loop, and the results are bit-identical
-// either way — TestAssignBatchedMatchesScalar and the facade-level
-// EncodeState equivalence tests enforce that.
+// ShardedGlobalUpdater: the assign op takes the batched path exactly
+// when the snapshot implements it, and snapshots that don't (the D-Stream
+// grid) keep the per-record loop. The results are bit-identical either
+// way — TestAssignBatchedMatchesScalar and the facade-level EncodeState
+// equivalence tests enforce that by hiding the capability behind a
+// test-only snapshot wrapper.
 
 // BatchNearester is an optional Snapshot capability: classify a block of
 // records in one call. ids[i], absorb[i] and found[i] must receive
@@ -61,20 +62,6 @@ func GetNearestRows() *NearestRows { return nearestRowsPool.Get().(*NearestRows)
 
 // Release returns the scratch to the pool.
 func (r *NearestRows) Release() { nearestRowsPool.Put(r) }
-
-// batchAssign gates the batched assign path; tests and before/after
-// benchmarks flip it to pin the scalar loop.
-var batchAssign atomic.Bool
-
-func init() { batchAssign.Store(true) }
-
-// SetBatchAssign toggles the batched assign path and returns a restore
-// func. It exists for differential tests and the dimension-sweep
-// benchmark; production always runs batched.
-func SetBatchAssign(on bool) (restore func()) {
-	prev := batchAssign.Swap(on)
-	return func() { batchAssign.Store(prev) }
-}
 
 // assignScratch pools the per-task record block and classification
 // buffers, so batched assign at any dimensionality allocates only the

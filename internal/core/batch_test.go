@@ -64,6 +64,11 @@ func (m mapBroadcasts) Get(id string) (mbsp.Item, bool) {
 	return v, ok
 }
 
+// scalarSnapshot hides every optional capability of the snapshot it
+// wraps — BatchNearester in particular — so the assign op takes its
+// per-record loop: the oracle the batched path is held to.
+type scalarSnapshot struct{ Snapshot }
+
 func assignCtx(snap Snapshot, groups uint64) *mbsp.TaskContext {
 	return mbsp.NewTaskContext(OpAssign, 0, 0, mapBroadcasts{
 		BroadcastModel:  snap,
@@ -133,9 +138,9 @@ func sameFloat(a, b float64) bool {
 }
 
 // TestAssignBatchedMatchesScalar runs the assign op twice over the same
-// partition — batched path on and off — and requires identical keyed
-// output, including outlier dealing for records outside every boundary
-// and for NaN records that match no row.
+// partition — batched, and per record through a scalarSnapshot — and
+// requires identical keyed output, including outlier dealing for records
+// outside every boundary and for NaN records that match no row.
 func TestAssignBatchedMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mcs := make([]MicroCluster, 12)
@@ -153,17 +158,11 @@ func TestAssignBatchedMatchesScalar(t *testing.T) {
 		in[i] = stream.Record{Seq: uint64(i), Values: vals}
 	}
 	op := makeAssignOp()
-	ctx := assignCtx(snap, 3)
-
-	restore := SetBatchAssign(true)
-	batched, err := op(ctx, in)
-	restore()
+	batched, err := op(assignCtx(snap, 3), in)
 	if err != nil {
 		t.Fatalf("batched assign: %v", err)
 	}
-	restore = SetBatchAssign(false)
-	scalar, err := op(ctx, in)
-	restore()
+	scalar, err := op(assignCtx(scalarSnapshot{snap}, 3), in)
 	if err != nil {
 		t.Fatalf("scalar assign: %v", err)
 	}

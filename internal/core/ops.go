@@ -114,7 +114,7 @@ func makeAssignOp() mbsp.OpFunc {
 		if err != nil {
 			return nil, err
 		}
-		if bn, ok := snap.(BatchNearester); ok && batchAssign.Load() {
+		if bn, ok := snap.(BatchNearester); ok {
 			return assignBatched(bn, cfg, in)
 		}
 		out := make(mbsp.Partition, len(in))

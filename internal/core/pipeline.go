@@ -175,7 +175,7 @@ type RunStats struct {
 	SpeculativeLaunches int
 	SpeculativeWins     int
 	// DeltaBroadcasts counts batches whose model broadcast shipped as a
-	// delta (TCP executor with RPCOptions.DeltaBroadcast on; workers
+	// delta (TCP executor with ExecutionOptions.DeltaBroadcast on; workers
 	// without the previous version still receive the full snapshot).
 	DeltaBroadcasts int
 	// WorkerJoins and WorkerDepartures count membership changes applied

@@ -14,16 +14,31 @@ import (
 // safe for concurrent use; the DistStream pipeline drives it from a
 // single batch loop, exactly like a Spark Streaming driver.
 type Engine struct {
-	exec    Executor
-	metrics []StageMetrics
+	exec     Executor
+	capable  Capable
+	dispatch StageDispatcher
+	metrics  []StageMetrics
 }
 
-// NewEngine wraps an executor.
+// NewEngine wraps an executor. The engine's executor contract is
+// Executor plus Capable (the executor reports its optional capabilities
+// itself) plus StageDispatcher (the executor runs a whole StageSpec,
+// fused broadcast and streamed completions included); an executor
+// lacking either is rejected rather than emulated. Both shipped
+// executors satisfy it.
 func NewEngine(exec Executor) (*Engine, error) {
 	if exec == nil {
 		return nil, errors.New("mbsp: nil executor")
 	}
-	return &Engine{exec: exec}, nil
+	capable, ok := exec.(Capable)
+	if !ok {
+		return nil, fmt.Errorf("mbsp: executor %T does not implement Capable", exec)
+	}
+	dispatch, ok := exec.(StageDispatcher)
+	if !ok {
+		return nil, fmt.Errorf("mbsp: executor %T does not implement StageDispatcher", exec)
+	}
+	return &Engine{exec: exec, capable: capable, dispatch: dispatch}, nil
 }
 
 // Parallelism returns the executor's worker count.
@@ -58,25 +73,8 @@ func (e *Engine) BroadcastDelta(ctx context.Context, id string, full, delta Item
 	return e.exec.Broadcast(ctx, id, full)
 }
 
-// Capabilities reports the executor's optional capabilities. Executors
-// implementing Capable answer for themselves; for legacy executors the
-// engine falls back to the DeltaBroadcaster type-assert and assumes no
-// async dispatch.
-func (e *Engine) Capabilities() Capabilities {
-	if c, ok := e.exec.(Capable); ok {
-		return c.Capabilities()
-	}
-	db, ok := e.exec.(DeltaBroadcaster)
-	return Capabilities{DeltaBroadcast: ok && db.DeltaBroadcastEnabled()}
-}
-
-// SupportsDeltaBroadcast reports whether the executor ships broadcast
-// deltas, so callers can skip computing one when it would be discarded.
-//
-// Deprecated: use Capabilities().DeltaBroadcast.
-func (e *Engine) SupportsDeltaBroadcast() bool {
-	return e.Capabilities().DeltaBroadcast
-}
+// Capabilities reports the executor's optional capabilities.
+func (e *Engine) Capabilities() Capabilities { return e.capable.Capabilities() }
 
 // ReconcileMembership applies pending worker-set changes on executors
 // with the ElasticMembership capability and reports what changed; for
@@ -90,62 +88,13 @@ func (e *Engine) ReconcileMembership(ctx context.Context) (MembershipDelta, erro
 	return MembershipDelta{}, nil
 }
 
-// DispatchStage runs one StageSpec — a parallel map optionally fused with
-// a broadcast and streaming per-task completions — recording stage
-// metrics exactly like MapStage. Executors with the AsyncDispatch
-// capability run it natively (broadcast frames pipelined with first
-// tasks, callbacks as outputs arrive); for the rest the engine emulates
-// it as broadcast-then-RunTasks with the callbacks fired afterwards in
-// task order, which is semantically identical, only without the overlap.
+// DispatchStage runs one StageSpec on the executor — a parallel map
+// optionally fused with a broadcast and streaming per-task completions —
+// recording stage metrics exactly like MapStage.
 func (e *Engine) DispatchStage(ctx context.Context, spec StageSpec) ([]Partition, error) {
 	start := time.Now()
-	outputs, taskMetrics, err := e.dispatchStage(ctx, spec)
-	e.metrics = append(e.metrics, StageMetrics{
-		Stage:  spec.Stage,
-		Tasks:  taskMetrics,
-		Wall:   time.Since(start),
-		Failed: err != nil,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outputs, nil
-}
-
-func (e *Engine) dispatchStage(ctx context.Context, spec StageSpec) ([]Partition, []TaskMetrics, error) {
-	if d, ok := e.exec.(StageDispatcher); ok {
-		if c, ok := e.exec.(Capable); ok && c.Capabilities().AsyncDispatch {
-			return d.DispatchStage(ctx, spec)
-		}
-	}
-	// Emulation: publish the broadcast through the ordinary path, run the
-	// stage with the ordinary barrier, then replay the completion
-	// callbacks in task order.
-	if spec.BroadcastID != "" {
-		var err error
-		if spec.BroadcastDelta != nil {
-			if db, ok := e.exec.(DeltaBroadcaster); ok && db.DeltaBroadcastEnabled() {
-				err = db.BroadcastDelta(ctx, spec.BroadcastID, spec.BroadcastValue, spec.BroadcastDelta)
-			} else {
-				err = e.exec.Broadcast(ctx, spec.BroadcastID, spec.BroadcastValue)
-			}
-		} else {
-			err = e.exec.Broadcast(ctx, spec.BroadcastID, spec.BroadcastValue)
-		}
-		if err != nil {
-			return nil, nil, &BroadcastError{ID: spec.BroadcastID, Err: err}
-		}
-	}
-	outputs, taskMetrics, err := e.exec.RunTasks(ctx, spec.Stage, spec.Op, spec.Inputs)
-	if err != nil {
-		return nil, taskMetrics, err
-	}
-	if spec.OnTaskDone != nil {
-		for task, out := range outputs {
-			spec.OnTaskDone(task, out)
-		}
-	}
-	return outputs, taskMetrics, nil
+	outputs, taskMetrics, err := e.dispatch.DispatchStage(ctx, spec)
+	return e.record(spec.Stage, start, outputs, taskMetrics, err)
 }
 
 // MapStage runs the named op over every input partition in parallel and
@@ -155,6 +104,11 @@ func (e *Engine) dispatchStage(ctx context.Context, spec StageSpec) ([]Partition
 func (e *Engine) MapStage(ctx context.Context, stage, op string, inputs []Partition) ([]Partition, error) {
 	start := time.Now()
 	outputs, taskMetrics, err := e.exec.RunTasks(ctx, stage, op, inputs)
+	return e.record(stage, start, outputs, taskMetrics, err)
+}
+
+// record appends one stage's metrics and passes its outputs through.
+func (e *Engine) record(stage string, start time.Time, outputs []Partition, taskMetrics []TaskMetrics, err error) ([]Partition, error) {
 	e.metrics = append(e.metrics, StageMetrics{
 		Stage:  stage,
 		Tasks:  taskMetrics,
@@ -250,7 +204,7 @@ func (b *ShuffleBuilder) Finalize(inputs []Partition, numPartitions int) ([]Part
 		n := b.slot[key]
 		// Length 0, capacity exactly n: appends in the fill pass land in
 		// place and cannot spill into the next group's slot.
-		groups[i] = Group{Key: key, Items: backing[off:off:off+n]}
+		groups[i] = Group{Key: key, Items: backing[off : off : off+n]}
 		b.slot[key] = i
 		off += n
 	}

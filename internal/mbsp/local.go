@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
@@ -101,75 +100,80 @@ func (e *LocalExecutor) Broadcast(ctx context.Context, id string, value Item) er
 	return nil
 }
 
-// RunTasks implements Executor. Tasks are dealt to workers round-robin
-// (task i runs on worker i%p); outputs are returned in input order. The
-// call blocks until every task finishes (a synchronous stage barrier,
-// matching the paper's synchronous update protocol).
+// RunTasks implements Executor: DispatchStage without a broadcast.
 func (e *LocalExecutor) RunTasks(ctx context.Context, stage, op string, inputs []Partition) ([]Partition, []TaskMetrics, error) {
+	return e.DispatchStage(ctx, StageSpec{Stage: stage, Op: op, Inputs: inputs})
+}
+
+// Capabilities implements Capable: the in-process executor has no use
+// for broadcast deltas (workers read the driver's store directly) and a
+// fixed worker set.
+func (e *LocalExecutor) Capabilities() Capabilities { return Capabilities{} }
+
+// DispatchStage implements StageDispatcher and is the executor's one
+// stage runner. The fused broadcast is one store write. Tasks are dealt
+// to workers round-robin (task i runs on worker i%p, on min(p, n)
+// goroutines) and outputs are returned in input order; the call blocks
+// until every task has committed (a synchronous stage barrier, matching
+// the paper's synchronous update protocol). OnTaskDone fires from the
+// stage's tracker as each task commits. With speculation configured, a
+// worker that drains its queue polls for stragglers and runs backup
+// copies; the stage completes as soon as every task has a committed
+// result, without waiting for copies that already lost.
+func (e *LocalExecutor) DispatchStage(ctx context.Context, spec StageSpec) ([]Partition, []TaskMetrics, error) {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
 		return nil, nil, ErrClosed
 	}
-	fn, err := e.cfg.Registry.Lookup(op)
+	if spec.BroadcastID != "" {
+		if err := e.Broadcast(ctx, spec.BroadcastID, spec.BroadcastValue); err != nil {
+			return nil, nil, &BroadcastError{ID: spec.BroadcastID, Err: err}
+		}
+	}
+	fn, err := e.cfg.Registry.Lookup(spec.Op)
 	if err != nil {
 		return nil, nil, err
 	}
-	if e.cfg.Speculation != nil {
-		return e.runTasksSpeculative(ctx, stage, fn, inputs)
+	n, p := len(spec.Inputs), e.cfg.Parallelism
+	st := NewStageTracker(n, e.cfg.Speculation, spec.OnTaskDone)
+	run := func(task, worker int, backup bool) {
+		if st.Begin(task, !backup, nil) {
+			out, m, err := e.attemptTask(ctx, spec.Stage, fn, spec.Inputs, task, worker)
+			st.Commit(task, out, m, err, backup)
+		}
 	}
-	n := len(inputs)
-	outputs := make([]Partition, n)
-	metrics := make([]TaskMetrics, n)
-	errs := make([]error, n)
-
-	p := e.cfg.Parallelism
-	// Spawn only as many workers as there are tasks. The stride stays p so
-	// the task → worker assignment (task t runs on worker t%p) is
-	// unchanged: when n <= p, t%p == t for every task, so workers n..p-1
-	// would have had empty loops anyway.
-	workers := p
-	if n < workers {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for task := w; task < n; task += p {
-				if ctx.Err() != nil {
-					return
-				}
-				out, m, err := e.attemptTask(ctx, stage, fn, inputs, task, w)
-				if err != nil {
-					errs[task] = err
-					continue
-				}
-				outputs[task] = out
-				metrics[task] = m
+	for w := 0; w < min(p, n); w++ {
+		go func(w int) {
+			for task := w; task < n && ctx.Err() == nil; task += p {
+				run(task, w, false)
 			}
-		}()
+			st.Backups(ctx, nil, func(task int) bool {
+				run(task, w, true)
+				return true
+			})
+		}(w)
 	}
-	wg.Wait()
+	select {
+	case <-st.Done():
+	case <-ctx.Done():
+	}
 	if err := ctx.Err(); err != nil {
+		st.Abort() // in-flight copies discard their results
+		_, metrics := st.Results()
 		return nil, metrics, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, metrics, err
-		}
+	outputs, metrics := st.Results()
+	if err := st.Err(); err != nil {
+		return nil, metrics, err
 	}
 	return outputs, metrics, nil
 }
 
 // attemptTask runs one copy of a task — injected delay, injected
 // failures, the op body (with panic containment) and the retry loop —
-// and returns its output, metrics and error. It is shared by the plain
-// path (one copy per task) and the speculative path (primary + backup
-// copies).
+// and returns its output, metrics and error.
 func (e *LocalExecutor) attemptTask(ctx context.Context, stage string, fn OpFunc, inputs []Partition, task, worker int) (Partition, TaskMetrics, error) {
 	start := time.Now()
 	if e.cfg.Delay != nil {
@@ -212,247 +216,6 @@ func (e *LocalExecutor) attemptTask(ctx context.Context, stage string, fn OpFunc
 		return nil, m, &TaskError{Stage: stage, TaskID: task, Err: err}
 	}
 	return out, m, nil
-}
-
-// specTracker is the shared scheduling state of one speculative stage.
-// All fields are guarded by mu; results commit first-wins under the
-// lock, which makes the tie-break deterministic in effect: ops are pure
-// functions of (broadcasts, input partition), so whichever copy commits,
-// the committed output is identical.
-type specTracker struct {
-	mu        sync.Mutex
-	durations []time.Duration   // committed successful task durations
-	starts    map[int]time.Time // start time of each running primary
-	backups   map[int]bool      // tasks with a backup copy launched
-	failed    map[int]bool      // speculated tasks with one failed copy
-	committed []bool
-	remaining int
-	aborted   bool
-	done      chan struct{} // closed when every task has committed
-}
-
-// candidate picks the straggler to back up: the lowest-id uncommitted
-// task with no backup yet whose elapsed time exceeds the speculation
-// bound. Marks it backed-up before returning. Caller holds mu.
-func (st *specTracker) candidate(spec *SpeculationConfig) (int, bool) {
-	if len(st.durations) < spec.MinCompleted {
-		return 0, false
-	}
-	sorted := append([]time.Duration(nil), st.durations...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	median := sorted[len(sorted)/2]
-	bound := time.Duration(float64(median) * spec.Multiplier)
-	best := -1
-	for task, started := range st.starts {
-		if st.backups[task] || st.committed[task] || time.Since(started) <= bound {
-			continue
-		}
-		if best < 0 || task < best {
-			best = task
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	st.backups[best] = true
-	return best, true
-}
-
-// runTasksSpeculative is RunTasks with straggler mitigation: workers
-// first drain their own static task queue (task i on worker i%p, as in
-// the plain path), then poll for straggling tasks and run backup copies.
-// The stage completes as soon as every task has a committed result —
-// without waiting for straggling copies that already lost, which is
-// where the wall-time win over the plain path comes from.
-func (e *LocalExecutor) runTasksSpeculative(ctx context.Context, stage string, fn OpFunc, inputs []Partition) ([]Partition, []TaskMetrics, error) {
-	n := len(inputs)
-	outputs := make([]Partition, n)
-	metrics := make([]TaskMetrics, n)
-	errs := make([]error, n)
-	spec := e.cfg.Speculation
-	st := &specTracker{
-		starts:    make(map[int]time.Time),
-		backups:   make(map[int]bool),
-		failed:    make(map[int]bool),
-		committed: make([]bool, n),
-		remaining: n,
-		done:      make(chan struct{}),
-	}
-	if n == 0 {
-		close(st.done)
-	}
-
-	commit := func(task int, out Partition, m TaskMetrics, err error, isBackup bool) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.aborted || st.committed[task] {
-			return // the other copy won (or the stage aborted); discard
-		}
-		if err != nil && st.backups[task] && !st.failed[task] {
-			// First failed copy of a speculated task: keep the task open so
-			// the surviving copy can still deliver a good result.
-			st.failed[task] = true
-			return
-		}
-		st.committed[task] = true
-		delete(st.starts, task)
-		m.Speculative = st.backups[task]
-		m.SpeculativeWin = isBackup && err == nil
-		outputs[task], metrics[task], errs[task] = out, m, err
-		if err == nil {
-			st.durations = append(st.durations, m.Duration)
-		}
-		st.remaining--
-		if st.remaining == 0 {
-			close(st.done)
-		}
-	}
-
-	p := e.cfg.Parallelism
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			for task := w; task < n; task += p {
-				if ctx.Err() != nil {
-					return
-				}
-				st.mu.Lock()
-				if st.aborted {
-					st.mu.Unlock()
-					return
-				}
-				st.starts[task] = time.Now()
-				st.mu.Unlock()
-				out, m, err := e.attemptTask(ctx, stage, fn, inputs, task, w)
-				commit(task, out, m, err, false)
-			}
-			// Queue drained: this worker is idle. Poll for stragglers.
-			ticker := time.NewTicker(spec.Poll)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-st.done:
-					return
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-				}
-				st.mu.Lock()
-				task, ok := st.candidate(spec)
-				st.mu.Unlock()
-				if !ok {
-					continue
-				}
-				out, m, err := e.attemptTask(ctx, stage, fn, inputs, task, w)
-				commit(task, out, m, err, true)
-			}
-		}(w)
-	}
-
-	select {
-	case <-st.done:
-		// Closed under st.mu after the last commit: all slice writes are
-		// visible here, and no goroutine writes after its discard check.
-	case <-ctx.Done():
-		st.mu.Lock()
-		st.aborted = true // poison: in-flight copies discard their results
-		st.mu.Unlock()
-		return nil, metrics, ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, metrics, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, metrics, err
-		}
-	}
-	return outputs, metrics, nil
-}
-
-// Capabilities implements Capable: the in-process executor streams task
-// completions natively but has no use for broadcast deltas (workers read
-// the driver's store directly).
-func (e *LocalExecutor) Capabilities() Capabilities {
-	return Capabilities{AsyncDispatch: true}
-}
-
-// DispatchStage implements StageDispatcher. In-process there is no wire
-// to pipeline, so the fused broadcast is one store write; the value of
-// the native path is the streamed OnTaskDone callbacks, which fire from
-// the worker goroutines as each task commits instead of after the stage
-// barrier. Under speculation the stage falls back to the speculative
-// barrier path (duplicate copies make streamed exactly-once callbacks
-// ambiguous) with callbacks replayed afterwards in task order.
-func (e *LocalExecutor) DispatchStage(ctx context.Context, spec StageSpec) ([]Partition, []TaskMetrics, error) {
-	if spec.BroadcastID != "" {
-		if err := e.Broadcast(ctx, spec.BroadcastID, spec.BroadcastValue); err != nil {
-			return nil, nil, &BroadcastError{ID: spec.BroadcastID, Err: err}
-		}
-	}
-	if e.cfg.Speculation != nil || spec.OnTaskDone == nil {
-		outputs, metrics, err := e.RunTasks(ctx, spec.Stage, spec.Op, spec.Inputs)
-		if err != nil {
-			return nil, metrics, err
-		}
-		if spec.OnTaskDone != nil {
-			for task, out := range outputs {
-				spec.OnTaskDone(task, out)
-			}
-		}
-		return outputs, metrics, nil
-	}
-
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return nil, nil, ErrClosed
-	}
-	fn, err := e.cfg.Registry.Lookup(spec.Op)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(spec.Inputs)
-	outputs := make([]Partition, n)
-	metrics := make([]TaskMetrics, n)
-	errs := make([]error, n)
-
-	p := e.cfg.Parallelism
-	workers := p
-	if n < workers {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for task := w; task < n; task += p {
-				if ctx.Err() != nil {
-					return
-				}
-				out, m, err := e.attemptTask(ctx, spec.Stage, fn, spec.Inputs, task, w)
-				if err != nil {
-					errs[task] = err
-					continue
-				}
-				outputs[task] = out
-				metrics[task] = m
-				spec.OnTaskDone(task, out)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, metrics, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, metrics, err
-		}
-	}
-	return outputs, metrics, nil
 }
 
 // Close implements Executor.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +56,9 @@ type Config struct {
 	// of tasks exceeding the configured multiple of the stage's median
 	// duration, the first result wins, and the loser's in-flight call is
 	// cancelled so the stage barrier does not wait out the straggler.
+	// Duplicate copies need the cancellable per-call path, so with
+	// speculation on a dispatched stage publishes its broadcast as a
+	// barrier instead of fusing it into task delivery.
 	Speculation *mbsp.SpeculationConfig
 	// DeltaBroadcast enables delta model broadcast: workers known to hold
 	// the previous version of a broadcast value receive only the diff the
@@ -286,10 +288,17 @@ func (w *workerConn) callDeadline(ctx context.Context) time.Time {
 	return deadline
 }
 
-// callOnce performs one round trip on the current connection under the
-// per-call deadline. Context cancellation interrupts the call in flight
-// by expiring the connection deadline.
-func (w *workerConn) callOnce(ctx context.Context, req request) (response, error) {
+// exchange performs one round trip on the current connection under the
+// per-call deadline, optionally pipelined with a second request: both
+// frames go out back-to-back — each flushed on its own, so the byte
+// counter read between the flushes attributes the first frame's bytes
+// exactly — and only then are the responses read, in order. The worker
+// serves a connection strictly in order, so response order matches
+// request order by construction. Context cancellation interrupts the
+// exchange in flight by expiring the connection deadline; any error
+// leaves the gob streams desynchronized, and the caller must tear the
+// connection down. Caller holds w.mu and has checked w.conn != nil.
+func (w *workerConn) exchange(ctx context.Context, req request, next *request) (resp, nextResp response, reqBytes int64, err error) {
 	conn := w.conn
 	_ = conn.SetDeadline(w.callDeadline(ctx))
 	// SetDeadline is safe to call concurrently with I/O in flight, so a
@@ -298,15 +307,26 @@ func (w *workerConn) callOnce(ctx context.Context, req request) (response, error
 		_ = conn.SetDeadline(time.Unix(1, 0))
 	})
 	defer stop()
-	if err := w.codec.send(req); err != nil {
-		return response{}, fmt.Errorf("rpcexec: send: %w", err)
+	sentBefore := w.sent.Load()
+	if err = w.codec.send(req); err != nil {
+		return resp, nextResp, 0, fmt.Errorf("rpcexec: send: %w", err)
 	}
-	var resp response
-	if err := w.codec.recv(&resp); err != nil {
-		return response{}, fmt.Errorf("rpcexec: recv: %w", err)
+	reqBytes = w.sent.Load() - sentBefore
+	if next != nil {
+		if err = w.codec.send(*next); err != nil {
+			return resp, nextResp, reqBytes, fmt.Errorf("rpcexec: send pipelined: %w", err)
+		}
+	}
+	if err = w.codec.recv(&resp); err != nil {
+		return resp, nextResp, reqBytes, fmt.Errorf("rpcexec: recv: %w", err)
+	}
+	if next != nil {
+		if err = w.codec.recv(&nextResp); err != nil {
+			return resp, nextResp, reqBytes, fmt.Errorf("rpcexec: recv pipelined: %w", err)
+		}
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return resp, nil
+	return resp, nextResp, reqBytes, nil
 }
 
 // call sends one request with bounded retry: on a transport failure the
@@ -343,7 +363,7 @@ func (w *workerConn) callLocked(ctx context.Context, req request) (response, int
 				continue
 			}
 		}
-		resp, err := w.callOnce(ctx, req)
+		resp, _, _, err := w.exchange(ctx, req, nil)
 		if err == nil {
 			return resp, attempt, nil
 		}
@@ -492,9 +512,6 @@ func (e *Executor) Broadcast(ctx context.Context, id string, value mbsp.Item) er
 // everyone else — fresh connections, workers that missed a version,
 // workers whose apply failed — receives the full value.
 func (e *Executor) BroadcastDelta(ctx context.Context, id string, full, delta mbsp.Item) error {
-	if !e.cfg.DeltaBroadcast {
-		delta = nil
-	}
 	return e.broadcastValue(ctx, id, full, delta)
 }
 
@@ -530,12 +547,26 @@ func (e *Executor) NetworkBytes() (sent, recvd int64) {
 	return sent, recvd
 }
 
-func (e *Executor) broadcastValue(ctx context.Context, id string, value, delta mbsp.Item) error {
+// broadcastFrames is one versioned publication of a broadcast value: the
+// full frame every worker can take, and the delta frame for workers known
+// to hold the previous version (nil when no delta applies).
+type broadcastFrames struct {
+	id      string
+	version uint64
+	full    request
+	delta   *request
+}
+
+// newBroadcast caches value driver-side under the next version of id —
+// redials replay it, and the version bump decides delta eligibility per
+// worker — and builds the frames that ship it. delta is dropped when
+// delta broadcast is disabled or id has no previous version.
+func (e *Executor) newBroadcast(id string, value, delta mbsp.Item) (*broadcastFrames, error) {
 	if e.isClosed() {
-		return mbsp.ErrClosed
+		return nil, mbsp.ErrClosed
 	}
 	if id == "" {
-		return errors.New("rpcexec: empty broadcast id")
+		return nil, errors.New("rpcexec: empty broadcast id")
 	}
 	e.bmu.Lock()
 	prev, seen := e.bcast[id]
@@ -546,18 +577,31 @@ func (e *Executor) broadcastValue(ctx context.Context, id string, value, delta m
 	e.bcast[id] = bcastEntry{value: value, version: version}
 	e.bmu.Unlock()
 
-	reqFull := request{Kind: kindBroadcast, BroadcastID: id, BroadcastValue: value, BroadcastVersion: version}
-	var reqDelta *request
-	if delta != nil && version > 1 {
+	b := &broadcastFrames{
+		id:      id,
+		version: version,
+		full:    request{Kind: kindBroadcast, BroadcastID: id, BroadcastValue: value, BroadcastVersion: version},
+	}
+	if delta != nil && version > 1 && e.cfg.DeltaBroadcast {
 		rd := request{Kind: kindBroadcast, BroadcastID: id, BroadcastVersion: version, BroadcastDelta: true}
 		if cols, ok := wire.EncodeValue(delta); ok {
 			rd.BroadcastCols = cols
 		} else {
 			rd.BroadcastValue = delta
 		}
-		reqDelta = &rd
+		b.delta = &rd
 	}
+	return b, nil
+}
 
+// broadcastValue publishes value under id to every live worker in
+// parallel, delta-first where eligible: the path behind Broadcast,
+// BroadcastDelta and a speculative stage's broadcast barrier.
+func (e *Executor) broadcastValue(ctx context.Context, id string, value, delta mbsp.Item) error {
+	b, err := e.newBroadcast(id, value, delta)
+	if err != nil {
+		return err
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(e.conns))
 	for i, wc := range e.conns {
@@ -568,7 +612,7 @@ func (e *Executor) broadcastValue(ctx context.Context, id string, value, delta m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = e.broadcastToWorker(ctx, wc, id, version, reqFull, reqDelta)
+			_, _, errs[i] = e.broadcastToWorker(ctx, wc, b, nil)
 		}()
 	}
 	wg.Wait()
@@ -596,569 +640,77 @@ func (e *Executor) broadcastValue(ctx context.Context, id string, value, delta m
 }
 
 // broadcastToWorker delivers one broadcast to one worker, delta-first
-// when eligible. The delta is attempted exactly once, on the current
-// live connection only — never through the retry/redial machinery,
-// because a redial replays the new full value and a delta applied on top
-// of it would double-apply. Any delta failure (transport or a worker-side
-// reject: missing base, checksum mismatch, apply error) falls back to
-// the full value through the normal retried path, so delta mode can only
-// ever cost a resend, not correctness.
-func (e *Executor) broadcastToWorker(ctx context.Context, w *workerConn, id string, version uint64, reqFull request, reqDelta *request) error {
+// when eligible, optionally carrying a task frame right behind it (the
+// fused round-1 prologue of a dispatched stage). The first attempt — the
+// delta, or the full value when a task rides along — goes out exactly
+// once, on the current live connection only, never through the
+// retry/redial machinery: a redial replays the new full value, and a
+// delta applied on top of it would double-apply. Any failure of that
+// attempt (transport, or a worker-side reject of a delta: missing base,
+// checksum mismatch, apply error) falls back to the full value through
+// the normal retried path, so delta mode can only ever cost a resend,
+// not correctness. A worker-side reject of the full value is fatal.
+//
+// The worker serves its connection strictly in order, so a task that
+// rode behind a rejected broadcast ran against the stale value: its
+// response is discarded. broadcastToWorker returns the task's response
+// only when the broadcast in front of it landed; sentTask reports that a
+// task frame went out, so the caller can count the discarded run.
+func (e *Executor) broadcastToWorker(ctx context.Context, w *workerConn, b *broadcastFrames, task *request) (tresp *response, sentTask bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead {
-		return fmt.Errorf("%w: %s", ErrWorkerLost, w.addr)
+		return nil, false, fmt.Errorf("%w: %s", ErrWorkerLost, w.addr)
 	}
-	sentBefore := w.sent.Load()
-	if reqDelta != nil && w.conn != nil && w.acked[id] == version-1 {
-		resp, err := w.callOnce(ctx, *reqDelta)
-		if err == nil && resp.Err == "" {
-			w.acked[id] = version
-			e.bDeltas.Add(1)
-			e.bBytes.Add(w.sent.Load() - sentBefore)
-			return nil
+	useDelta := b.delta != nil && w.acked[b.id] == b.version-1
+	var bytes int64
+	if w.conn != nil && (useDelta || task != nil) {
+		breq := b.full
+		if useDelta {
+			breq = *b.delta
 		}
-		if err != nil {
-			// Transport failure mid-delta: the outcome is unknown, so the
-			// connection (and the gob stream riding it) is unusable. Tear
-			// it down; the full path below redials and replays.
+		bresp, resp, n, err := w.exchange(ctx, breq, task)
+		bytes += n
+		sentTask = task != nil
+		switch {
+		case err == nil && bresp.Err == "":
+			w.acked[b.id] = b.version
+			if useDelta {
+				e.bDeltas.Add(1)
+			} else {
+				e.bFulls.Add(1)
+			}
+			e.bBytes.Add(bytes)
+			if task == nil {
+				return nil, false, nil
+			}
+			return &resp, true, nil
+		case err != nil:
+			// Transport failure: the outcome of every frame is unknown, so
+			// the connection (and the gob stream riding it) is unusable.
+			// Tear it down; the full path below redials and replays.
 			w.teardown()
+		case !useDelta:
+			delete(w.acked, b.id)
+			return nil, sentTask, errors.New(bresp.Err)
 		}
 		// A worker-side reject leaves the connection healthy; either way
 		// the worker's version is now unknown until the full lands.
-		delete(w.acked, id)
+		delete(w.acked, b.id)
 	}
-	resp, _, err := w.callLocked(ctx, reqFull)
+	sentBefore := w.sent.Load()
+	resp, _, err := w.callLocked(ctx, b.full)
+	if err == nil && resp.Err != "" {
+		err = errors.New(resp.Err)
+	}
 	if err != nil {
-		delete(w.acked, id)
-		return err
+		delete(w.acked, b.id)
+		return nil, sentTask, err
 	}
-	if resp.Err != "" {
-		delete(w.acked, id)
-		return errors.New(resp.Err)
-	}
-	w.acked[id] = version
+	w.acked[b.id] = b.version
 	e.bFulls.Add(1)
-	e.bBytes.Add(w.sent.Load() - sentBefore)
-	return nil
-}
-
-// encodeInputs pre-encodes each task partition with the columnar wire
-// codec once per stage (not per attempt); nil entries fall back to gob.
-func encodeInputs(inputs []mbsp.Partition) [][]byte {
-	cols := make([][]byte, len(inputs))
-	for i, in := range inputs {
-		if b, ok := wire.EncodePartition(in); ok {
-			cols[i] = b
-		}
-	}
-	return cols
-}
-
-// taskRequest builds one task request, shipping the pre-encoded columnar
-// partition when available and the gob partition otherwise.
-func taskRequest(stage, op string, task int, input mbsp.Partition, cols []byte) request {
-	req := request{Kind: kindTask, Stage: stage, Op: op, TaskID: task}
-	if cols != nil {
-		req.InputCols = cols
-	} else {
-		req.Input = input
-	}
-	return req
-}
-
-// respOutput extracts a task response's output partition, decoding the
-// columnar form when the worker used it.
-func respOutput(resp response) (mbsp.Partition, error) {
-	if len(resp.OutputCols) == 0 {
-		return resp.Output, nil
-	}
-	return wire.DecodePartition(resp.OutputCols)
-}
-
-// RunTasks implements mbsp.Executor with worker-loss recovery. Tasks run
-// in rounds: round one deals task i to worker i%p (identical to the
-// fault-free assignment); any tasks stranded by a lost worker are
-// collected and re-dispatched in ascending task-index order, round-robin
-// over the surviving workers, until every task has run or no worker
-// remains. Because assignment depends only on task indices and the sorted
-// set of survivors — never on timing — a run with a given failure pattern
-// is deterministic, and outputs are always returned in input order.
-func (e *Executor) RunTasks(ctx context.Context, stage, op string, inputs []mbsp.Partition) ([]mbsp.Partition, []mbsp.TaskMetrics, error) {
-	if e.isClosed() {
-		return nil, nil, mbsp.ErrClosed
-	}
-	if e.cfg.Speculation != nil {
-		return e.runTasksSpeculative(ctx, stage, op, inputs)
-	}
-	n := len(inputs)
-	inputCols := encodeInputs(inputs)
-	outputs := make([]mbsp.Partition, n)
-	metrics := make([]mbsp.TaskMetrics, n)
-	retries := make([]int, n)
-
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, metrics, err
-		}
-		var alive []int
-		for w, wc := range e.conns {
-			if wc.alive() {
-				alive = append(alive, w)
-			}
-		}
-		if len(alive) == 0 {
-			return nil, metrics, e.allWorkersLost(stage, len(pending))
-		}
-		// Deal pending tasks (already in ascending order) round-robin over
-		// the survivors. On the first round with all workers alive this
-		// reproduces the static task i → worker i%p assignment.
-		assign := make([][]int, len(alive))
-		for j, task := range pending {
-			assign[j%len(alive)] = append(assign[j%len(alive)], task)
-		}
-
-		var mu sync.Mutex
-		var requeue []int
-		var taskErrs []*mbsp.TaskError
-		var wg sync.WaitGroup
-		for wi, worker := range alive {
-			tasks := assign[wi]
-			if len(tasks) == 0 {
-				continue
-			}
-			worker := worker
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wc := e.conns[worker]
-				for k, task := range tasks {
-					if ctx.Err() != nil {
-						return
-					}
-					start := time.Now()
-					resp, tries, err := wc.call(ctx, taskRequest(stage, op, task, inputs[task], inputCols[task]))
-					retries[task] += tries
-					if err != nil {
-						if ctx.Err() != nil {
-							return
-						}
-						// Worker lost: strand its remaining tasks for the
-						// next round and stop driving this connection.
-						mu.Lock()
-						requeue = append(requeue, tasks[k:]...)
-						mu.Unlock()
-						return
-					}
-					if resp.Err != "" {
-						// Application-level failure: deterministic, so
-						// re-running it elsewhere cannot help. Abort the
-						// stage after this round.
-						mu.Lock()
-						taskErrs = append(taskErrs, &mbsp.TaskError{Stage: stage, TaskID: task, Err: errors.New(resp.Err)})
-						mu.Unlock()
-						continue
-					}
-					out, decErr := respOutput(resp)
-					if decErr != nil {
-						// Corrupt columnar output is deterministic, like an
-						// application failure: abort rather than retry.
-						mu.Lock()
-						taskErrs = append(taskErrs, &mbsp.TaskError{Stage: stage, TaskID: task, Err: decErr})
-						mu.Unlock()
-						continue
-					}
-					outputs[task] = out
-					metrics[task] = mbsp.TaskMetrics{
-						Stage:    stage,
-						TaskID:   task,
-						WorkerID: worker,
-						// Duration is the round-trip wall time seen by the
-						// driver (includes serialization + network),
-						// matching what a Spark driver observes per task.
-						Duration: time.Since(start),
-						InItems:  len(inputs[task]),
-						OutItems: len(out),
-						Retries:  retries[task],
-					}
-					_ = resp.DurMicro // worker-side compute time, available for finer breakdowns
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, metrics, err
-		}
-		if len(taskErrs) > 0 {
-			sort.Slice(taskErrs, func(i, j int) bool { return taskErrs[i].TaskID < taskErrs[j].TaskID })
-			return nil, metrics, taskErrs[0]
-		}
-		sort.Ints(requeue)
-		pending = requeue
-	}
-	return outputs, metrics, nil
-}
-
-// specState is the shared scheduling state of one speculative stage on
-// the TCP executor — the remote analogue of the local executor's
-// speculation tracker, extended with per-copy cancel functions so a
-// committed backup can interrupt its straggling primary's in-flight call.
-// The cancellation makes wc.call return the context error without marking
-// the worker dead; the torn-down connection simply redials on next use.
-type specState struct {
-	mu         sync.Mutex
-	durations  []time.Duration // committed successful task durations
-	starts     map[int]time.Time
-	backups    map[int]bool // a backup copy is armed or in flight
-	speculated map[int]bool // ever speculated (for metrics)
-	failed     map[int]bool // one copy of a speculated task already failed
-	retries    map[int]int
-	cancels    map[int][]context.CancelFunc
-	committed  []bool
-	remaining  int
-	aborted    bool
-	done       chan struct{} // closed when every task has committed
-}
-
-func newSpecState(n int) *specState {
-	st := &specState{
-		starts:     make(map[int]time.Time),
-		backups:    make(map[int]bool),
-		speculated: make(map[int]bool),
-		failed:     make(map[int]bool),
-		retries:    make(map[int]int),
-		cancels:    make(map[int][]context.CancelFunc),
-		committed:  make([]bool, n),
-		remaining:  n,
-		done:       make(chan struct{}),
-	}
-	if n == 0 {
-		close(st.done)
-	}
-	return st
-}
-
-// beginPrimary registers a primary copy: it records the straggler clock
-// and the cancel hook, and reports false when the task already committed
-// (a backup from this or an earlier round won) so the caller skips it.
-func (st *specState) beginPrimary(task int, cancel context.CancelFunc) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.aborted || st.committed[task] {
-		return false
-	}
-	st.starts[task] = time.Now()
-	st.cancels[task] = append(st.cancels[task], cancel)
-	return true
-}
-
-// beginBackup registers a backup copy's cancel hook; false means the task
-// committed between candidate selection and the backup's start.
-func (st *specState) beginBackup(task int, cancel context.CancelFunc) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.aborted || st.committed[task] {
-		return false
-	}
-	st.cancels[task] = append(st.cancels[task], cancel)
-	return true
-}
-
-// candidate picks the straggler to back up: the lowest-id uncommitted
-// task with a running primary, no backup yet, and an elapsed time beyond
-// Multiplier times the stage median. It arms the backup before returning.
-func (st *specState) candidate(spec *mbsp.SpeculationConfig) (int, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.aborted || len(st.durations) < spec.MinCompleted {
-		return 0, false
-	}
-	sorted := append([]time.Duration(nil), st.durations...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	median := sorted[len(sorted)/2]
-	bound := time.Duration(float64(median) * spec.Multiplier)
-	best := -1
-	for task, started := range st.starts {
-		if st.backups[task] || st.committed[task] || time.Since(started) <= bound {
-			continue
-		}
-		if best < 0 || task < best {
-			best = task
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	st.backups[best] = true
-	st.speculated[best] = true
-	return best, true
-}
-
-// releaseBackup clears the armed-backup mark after a backup copy died on
-// transport (its worker was lost), so another idle worker may speculate
-// the task again.
-func (st *specState) releaseBackup(task int) {
-	st.mu.Lock()
-	st.backups[task] = false
-	st.mu.Unlock()
-}
-
-// clearStart drops a stranded primary's straggler clock so pollers stop
-// treating it as a running straggler; the round loop re-dispatches it.
-func (st *specState) clearStart(task int) {
-	st.mu.Lock()
-	delete(st.starts, task)
-	st.mu.Unlock()
-}
-
-func (st *specState) noteRetries(task, tries int) {
-	if tries == 0 {
-		return
-	}
-	st.mu.Lock()
-	st.retries[task] += tries
-	st.mu.Unlock()
-}
-
-// abort poisons the stage: in-flight copies discard their results and
-// their calls are interrupted.
-func (st *specState) abort() {
-	st.mu.Lock()
-	st.aborted = true
-	for _, cancels := range st.cancels {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}
-	st.cancels = make(map[int][]context.CancelFunc)
-	st.mu.Unlock()
-}
-
-// runOneCopy executes one copy of a task on one worker and returns the
-// response, driver-observed metrics and transport retry count. The error
-// return is transport-level (worker loss or context cancellation);
-// application failures come back inside the response.
-func (e *Executor) runOneCopy(ctx context.Context, worker int, stage, op string, task int, input mbsp.Partition, inputCols []byte) (response, mbsp.TaskMetrics, int, error) {
-	start := time.Now()
-	resp, tries, err := e.conns[worker].call(ctx, taskRequest(stage, op, task, input, inputCols))
-	m := mbsp.TaskMetrics{
-		Stage:    stage,
-		TaskID:   task,
-		WorkerID: worker,
-		Duration: time.Since(start),
-		InItems:  len(input),
-	}
-	if err != nil {
-		return resp, m, tries, err
-	}
-	if resp.Err == "" {
-		// Surface the decoded partition through resp.Output so commit and
-		// metrics read one place; a corrupt columnar frame becomes an
-		// application-level failure (deterministic, like the plain path).
-		out, decErr := respOutput(resp)
-		if decErr != nil {
-			resp.Err = decErr.Error()
-		} else {
-			resp.Output, resp.OutputCols = out, nil
-		}
-	}
-	m.OutItems = len(resp.Output)
-	return resp, m, tries, nil
-}
-
-// runTasksSpeculative is RunTasks with straggler mitigation, keeping the
-// plain path's round structure for worker-loss recovery. Within a round,
-// workers that drain their task list poll for straggling primaries and
-// run backup copies on their own connections; the first result to commit
-// wins and cancels the losing copy's in-flight call. Ops are pure, so
-// either copy yields the same output and order-aware semantics hold.
-func (e *Executor) runTasksSpeculative(ctx context.Context, stage, op string, inputs []mbsp.Partition) ([]mbsp.Partition, []mbsp.TaskMetrics, error) {
-	n := len(inputs)
-	inputCols := encodeInputs(inputs)
-	outputs := make([]mbsp.Partition, n)
-	metrics := make([]mbsp.TaskMetrics, n)
-	errs := make([]error, n)
-	spec := e.cfg.Speculation
-	st := newSpecState(n)
-
-	commit := func(task int, out mbsp.Partition, m mbsp.TaskMetrics, err error, isBackup bool) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.aborted || st.committed[task] {
-			return // the other copy won (or the stage aborted); discard
-		}
-		if err != nil && st.backups[task] && !st.failed[task] {
-			// First failed copy of a speculated task: the surviving copy
-			// may still deliver a good result, so keep the task open.
-			st.failed[task] = true
-			return
-		}
-		st.committed[task] = true
-		delete(st.starts, task)
-		for _, cancel := range st.cancels[task] {
-			cancel() // unblock the losing copy's in-flight call
-		}
-		delete(st.cancels, task)
-		m.Speculative = st.speculated[task]
-		m.SpeculativeWin = isBackup && err == nil
-		m.Retries = st.retries[task]
-		outputs[task], metrics[task], errs[task] = out, m, err
-		if err == nil {
-			st.durations = append(st.durations, m.Duration)
-		}
-		st.remaining--
-		if st.remaining == 0 {
-			close(st.done)
-		}
-	}
-
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		if err := ctx.Err(); err != nil {
-			st.abort()
-			return nil, metrics, err
-		}
-		var alive []int
-		for w, wc := range e.conns {
-			if wc.alive() {
-				alive = append(alive, w)
-			}
-		}
-		if len(alive) == 0 {
-			return nil, metrics, e.allWorkersLost(stage, len(pending))
-		}
-		assign := make([][]int, len(alive))
-		for j, task := range pending {
-			assign[j%len(alive)] = append(assign[j%len(alive)], task)
-		}
-
-		// roundOver releases pollers when every primary goroutine has
-		// finished but some tasks were stranded by a lost worker (st.done
-		// never closes in that round).
-		roundOver := make(chan struct{})
-		var wgPrimary, wgAll sync.WaitGroup
-		for wi, worker := range alive {
-			tasks := assign[wi]
-			worker := worker
-			wgPrimary.Add(1)
-			wgAll.Add(1)
-			go func() {
-				defer wgAll.Done()
-				var primaryOnce sync.Once
-				donePrimary := func() { primaryOnce.Do(wgPrimary.Done) }
-				defer donePrimary()
-				for k, task := range tasks {
-					if ctx.Err() != nil {
-						return
-					}
-					tctx, cancel := context.WithCancel(ctx)
-					if !st.beginPrimary(task, cancel) {
-						cancel()
-						continue
-					}
-					resp, m, tries, err := e.runOneCopy(tctx, worker, stage, op, task, inputs[task], inputCols[task])
-					cancel()
-					st.noteRetries(task, tries)
-					if err != nil {
-						if ctx.Err() != nil {
-							return
-						}
-						if tctx.Err() != nil {
-							continue // a backup won and cancelled this call
-						}
-						// Worker lost: strand the remaining tasks for the
-						// next round and stop driving this connection.
-						for _, t := range tasks[k:] {
-							st.clearStart(t)
-						}
-						return
-					}
-					if resp.Err != "" {
-						commit(task, nil, m, &mbsp.TaskError{Stage: stage, TaskID: task, Err: errors.New(resp.Err)}, false)
-						continue
-					}
-					commit(task, resp.Output, m, nil, false)
-				}
-				donePrimary()
-				// List drained: this worker is idle. Poll for stragglers.
-				ticker := time.NewTicker(spec.Poll)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-st.done:
-						return
-					case <-roundOver:
-						return
-					case <-ctx.Done():
-						return
-					case <-ticker.C:
-					}
-					task, ok := st.candidate(spec)
-					if !ok {
-						continue
-					}
-					bctx, cancel := context.WithCancel(ctx)
-					if !st.beginBackup(task, cancel) {
-						cancel()
-						continue
-					}
-					resp, m, tries, err := e.runOneCopy(bctx, worker, stage, op, task, inputs[task], inputCols[task])
-					cancel()
-					st.noteRetries(task, tries)
-					if err != nil {
-						if ctx.Err() != nil {
-							return
-						}
-						if bctx.Err() != nil {
-							continue // the primary won and cancelled this call
-						}
-						// Backup's worker lost: let the task be speculated
-						// again or re-dispatched next round.
-						st.releaseBackup(task)
-						return
-					}
-					if resp.Err != "" {
-						commit(task, nil, m, &mbsp.TaskError{Stage: stage, TaskID: task, Err: errors.New(resp.Err)}, true)
-						continue
-					}
-					commit(task, resp.Output, m, nil, true)
-				}
-			}()
-		}
-		wgPrimary.Wait()
-		close(roundOver)
-		wgAll.Wait()
-		if err := ctx.Err(); err != nil {
-			st.abort()
-			return nil, metrics, err
-		}
-		// Application failures abort the stage after the round, lowest
-		// task first — the same policy as the plain path.
-		for task := 0; task < n; task++ {
-			if errs[task] != nil {
-				st.abort()
-				return nil, metrics, errs[task]
-			}
-		}
-		// Next round: whatever is still uncommitted, in ascending order.
-		var next []int
-		st.mu.Lock()
-		for task := 0; task < n; task++ {
-			if !st.committed[task] {
-				next = append(next, task)
-			}
-		}
-		st.mu.Unlock()
-		pending = next
-	}
-	return outputs, metrics, nil
+	e.bBytes.Add(bytes + w.sent.Load() - sentBefore)
+	return nil, sentTask, nil
 }
 
 // Close implements mbsp.Executor: it sends a shutdown frame to each live

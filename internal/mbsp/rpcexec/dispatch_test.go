@@ -70,9 +70,6 @@ func (r *onTaskDoneRecorder) hook(task int, out mbsp.Partition) {
 // semantics, and completions stream to OnTaskDone exactly once each.
 func TestDispatchStageFused(t *testing.T) {
 	exec, _ := startCluster(t, 2)
-	if caps := exec.Capabilities(); !caps.AsyncDispatch {
-		t.Fatal("TCP executor must advertise AsyncDispatch")
-	}
 	rec := &onTaskDoneRecorder{}
 	outputs, metrics, err := exec.DispatchStage(context.Background(), mbsp.StageSpec{
 		Stage:          "assign",
@@ -232,9 +229,9 @@ func TestDispatchStageWorkerLossMidRound(t *testing.T) {
 	}
 }
 
-// TestDispatchStageSpeculationBarrier: under speculation the stage
-// degrades to the broadcast-then-barrier path, and OnTaskDone completions
-// are replayed after the barrier.
+// TestDispatchStageSpeculationBarrier: under speculation the fused
+// framing is off — the broadcast is published as a barrier before any
+// task ships — and OnTaskDone still fires exactly once per task.
 func TestDispatchStageSpeculationBarrier(t *testing.T) {
 	exec, _ := startClusterCfg(t, 2, Config{
 		Speculation: &mbsp.SpeculationConfig{Multiplier: 1.5, MinCompleted: 2, Poll: time.Millisecond},

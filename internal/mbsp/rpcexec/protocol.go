@@ -10,13 +10,10 @@ package rpcexec
 
 import (
 	"bufio"
-	"context"
 	"encoding/gob"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"diststream/internal/mbsp"
 	"diststream/internal/stream"
@@ -71,7 +68,6 @@ type response struct {
 	Output     mbsp.Partition
 	OutputCols []byte
 	Err        string
-	DurMicro   int64 // task execution time in microseconds
 }
 
 // RegisterType registers a concrete type with gob so it can travel inside
@@ -168,41 +164,6 @@ func (c *frameCodec) send(v any) error {
 
 // recv decodes the next frame into v.
 func (c *frameCodec) recv(v any) error { return c.dec.Decode(v) }
-
-// exchangePipelined performs the fused two-frame round trip behind the
-// pipelined dispatch path: the broadcast request and the first task
-// request go out back-to-back — each as its own flushed frame, so the
-// byte counter read between the two flushes attributes broadcast bytes
-// exactly — and only then are both responses read, in order. The
-// worker's serve loop is strictly sequential per connection, so response
-// order matches request order by construction. The whole exchange runs
-// under one per-call deadline with the usual close-on-cancel hook; any
-// error leaves the gob streams desynchronized, and the caller must tear
-// the connection down. Caller holds w.mu and has checked w.conn != nil.
-func (w *workerConn) exchangePipelined(ctx context.Context, breq, treq request) (bresp, tresp response, bcastBytes int64, err error) {
-	conn := w.conn
-	_ = conn.SetDeadline(w.callDeadline(ctx))
-	stop := context.AfterFunc(ctx, func() {
-		_ = conn.SetDeadline(time.Unix(1, 0))
-	})
-	defer stop()
-	sentBefore := w.sent.Load()
-	if err = w.codec.send(breq); err != nil {
-		return bresp, tresp, 0, fmt.Errorf("rpcexec: send broadcast: %w", err)
-	}
-	bcastBytes = w.sent.Load() - sentBefore
-	if err = w.codec.send(treq); err != nil {
-		return bresp, tresp, bcastBytes, fmt.Errorf("rpcexec: send task: %w", err)
-	}
-	if err = w.codec.recv(&bresp); err != nil {
-		return bresp, tresp, bcastBytes, fmt.Errorf("rpcexec: recv broadcast: %w", err)
-	}
-	if err = w.codec.recv(&tresp); err != nil {
-		return bresp, tresp, bcastBytes, fmt.Errorf("rpcexec: recv task: %w", err)
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return bresp, tresp, bcastBytes, nil
-}
 
 // release returns the pooled buffers. The codec is unusable afterwards;
 // callers discard it together with the connection.

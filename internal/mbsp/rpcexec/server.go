@@ -279,16 +279,14 @@ func (w *Worker) runTask(req request) response {
 		input = p
 	}
 	ctx := mbsp.NewTaskContext(req.Stage, req.TaskID, w.id, w.broadcasts)
-	start := time.Now()
 	// SafeCall contains panics: a poisonous record fails this one task
 	// (the error string, stack included, travels back to the driver's
 	// retry/abort machinery) instead of killing the worker process.
 	out, err := mbsp.SafeCall(fn, ctx, input)
-	dur := time.Since(start)
 	if err != nil {
-		return response{TaskID: req.TaskID, Err: err.Error(), DurMicro: dur.Microseconds()}
+		return response{TaskID: req.TaskID, Err: err.Error()}
 	}
-	resp := response{TaskID: req.TaskID, DurMicro: dur.Microseconds()}
+	resp := response{TaskID: req.TaskID}
 	if cols, ok := wire.EncodePartition(out); ok {
 		resp.OutputCols = cols
 	} else {

@@ -16,8 +16,6 @@ import (
 //     broadcast), so each worker receives its broadcast frame pipelined
 //     with its first task frame instead of the driver paying a full
 //     broadcast barrier plus a round trip before any task ships.
-//   - Task inputs are columnar-encoded lazily on the per-worker dispatch
-//     goroutines instead of serially on the driver before dispatch.
 //   - The shuffle's counting pass runs incrementally over assign outputs
 //     as tasks complete (counting is commutative); only the deterministic
 //     fill pass — which fixes within-group emission order — waits for the
@@ -27,10 +25,9 @@ import (
 // What it deliberately does NOT do is assign batch N+1 against anything
 // but the model produced by batch N's global update (the version-pinning
 // rule): re-routing records against a stale model version would change
-// record→micro-cluster assignment and break byte-equality with BSP. On
-// executors without the AsyncDispatch capability every DispatchStage
-// degrades to the engine's broadcast-then-barrier emulation, making the
-// schedule safe (if winless) everywhere.
+// record→micro-cluster assignment and break byte-equality with BSP.
+// Under speculation the executors publish the broadcast as a barrier
+// instead of fusing it, so the schedule is safe (if winless) there.
 type pipelinedSchedule struct{}
 
 // Kind implements Schedule.

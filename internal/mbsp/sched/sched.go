@@ -16,8 +16,7 @@
 //   - Pipelined keeps the same stage DAG but removes every barrier the
 //     data dependencies do not require: the broadcast is fused into task
 //     delivery (each worker's broadcast frame and first assign task ship
-//     back-to-back), task inputs encode lazily on the dispatch
-//     goroutines, and the shuffle's counting pass streams over assign
+//     back-to-back) and the shuffle's counting pass streams over assign
 //     outputs as tasks complete. Assignment always runs against the
 //     pinned model version produced by the previous batch's global
 //     update — the version-pinning rule — so final model state stays

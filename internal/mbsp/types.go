@@ -174,19 +174,14 @@ func (s StageMetrics) StragglerFraction() float64 {
 	return float64(s.Stragglers()) / float64(len(s.Tasks))
 }
 
-// Capabilities describes what an executor can do beyond the required
-// Executor surface, so schedules select behavior without executor-specific
-// type switches scattered through the driver.
+// Capabilities describes what an executor can do beyond the stage
+// contract every executor meets, so schedules select behavior without
+// executor-specific type switches scattered through the driver.
 type Capabilities struct {
 	// DeltaBroadcast reports that the executor ships broadcast deltas to
 	// workers holding the previous value (the DeltaBroadcaster interface,
 	// enabled in its configuration).
 	DeltaBroadcast bool
-	// AsyncDispatch reports that the executor implements StageDispatcher
-	// natively: fused broadcast+task delivery and streamed per-task
-	// completion callbacks. Executors without it still run dispatched
-	// stages through an engine-level emulation, just without the overlap.
-	AsyncDispatch bool
 	// ElasticMembership reports that the executor implements
 	// MembershipReconciler: its worker set is a runtime quantity, and the
 	// driver should reconcile membership at every batch boundary so
@@ -194,9 +189,8 @@ type Capabilities struct {
 	ElasticMembership bool
 }
 
-// Capable is the capability-discovery interface. Executors that do not
-// implement it are assumed to have no optional capabilities beyond what
-// the legacy DeltaBroadcaster type-assert reveals.
+// Capable is the capability-discovery interface. NewEngine requires it:
+// an executor reports its optional capabilities itself.
 type Capable interface {
 	Capabilities() Capabilities
 }
@@ -220,17 +214,20 @@ type StageSpec struct {
 	BroadcastValue Item
 	BroadcastDelta Item
 	// OnTaskDone, when set, is called exactly once per successful task
-	// with its output partition, as soon as the output is available. Calls
-	// may come from concurrent dispatch goroutines; the callback must be
-	// safe for concurrent use. Failed or re-dispatched attempts do not
-	// fire it; the eventual successful attempt does.
+	// with its output partition, as soon as the task commits, and before
+	// DispatchStage returns its outputs. Calls may come from concurrent
+	// dispatch goroutines; the callback must be safe for concurrent use.
+	// Failed, discarded, re-dispatched and losing speculative copies do
+	// not fire it; the committed copy does.
 	OnTaskDone func(task int, out Partition)
 }
 
-// StageDispatcher is an optional Executor capability (advertised through
-// Capabilities().AsyncDispatch): executing a whole StageSpec with the
-// broadcast fused into task delivery and outputs streamed through
-// OnTaskDone. Outputs are still returned in input order, like RunTasks.
+// StageDispatcher is the stage half of the executor contract NewEngine
+// enforces: executing a whole StageSpec, with the broadcast fused into
+// task delivery and outputs streamed through OnTaskDone. Outputs are
+// still returned in input order, like RunTasks. An executor's RunTasks
+// and DispatchStage run through one stage runner; RunTasks is the
+// broadcast-free, callback-free special case.
 type StageDispatcher interface {
 	DispatchStage(ctx context.Context, spec StageSpec) ([]Partition, []TaskMetrics, error)
 }
@@ -275,7 +272,9 @@ func (e *BroadcastError) Unwrap() error { return e.Err }
 
 // Executor runs the tasks of one stage in parallel. Implementations must
 // return outputs in input-partition order (output[i] is the result of
-// inputs[i]) regardless of scheduling.
+// inputs[i]) regardless of scheduling. NewEngine additionally requires
+// Capable and StageDispatcher; DeltaBroadcaster and MembershipReconciler
+// stay optional, advertised through Capabilities.
 type Executor interface {
 	// Parallelism returns the number of workers (the paper's parallelism
 	// degree p).
