@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-json fuzz-smoke serve-smoke sched-smoke shard-smoke chaos-smoke subscribe-smoke
+.PHONY: build test race vet check bench bench-json fuzz-smoke serve-smoke shard-smoke chaos-smoke subscribe-smoke
 
 build:
 	$(GO) build ./...
@@ -38,21 +38,10 @@ bench-json:
 	$(GO) run ./cmd/benchjson < bench-raw.txt > $(BENCH_JSON)
 	rm bench-raw.txt
 
-# sched-smoke runs the schedule-equivalence battery under the race
-# detector: the pipelined schedule must land on byte-identical model
-# state to strict BSP across algorithms, executors and fault injection,
-# with no data races in the overlapped driver loop or either executor's
-# stage runner.
-sched-smoke:
-	$(GO) test -race -count=1 -run '^TestScheduleEquivalence' .
-	$(GO) test -race -count=1 ./internal/mbsp/sched/
-	$(GO) test -race -count=1 -run '^TestDispatchStage' ./internal/mbsp/
-	$(GO) test -race -count=1 -run '^TestDispatchStage' ./internal/mbsp/rpcexec/
-
 # shard-smoke runs the sharded-global-update equivalence battery under
 # the race detector: with GlobalShards set, the final model must be
 # byte-identical to the serial path across {clustream,denstream} x
-# {bsp,pipelined} x {local,tcp}, fall back transparently for algorithms
+# {local,tcp}, fall back transparently for algorithms
 # without the capability, survive a checkpoint resume, and hold on the
 # per-package randomized differential batteries.
 shard-smoke:
@@ -63,7 +52,7 @@ shard-smoke:
 # chaos-smoke proves elastic membership keeps the output bit-identical
 # under churn: first the facade-level churn-equivalence battery (kill +
 # fresh join mid-stream vs a clean fixed-membership run, both
-# algorithms, both schedules) under the race detector, then the full
+# algorithms) under the race detector, then the full
 # supervised-subprocess demo — SIGKILL a worker every few batches, the
 # supervisor restarts it, the registry readmits it, and the run must end
 # with joins >= kills and a byte-identical model (non-zero exit

@@ -24,13 +24,13 @@ type churnFacadeRun struct {
 // killed while a freshly started replacement announces itself to the
 // system's membership listener; the driver must retire the dead slot,
 // admit the joiner with full catch-up, and keep the output identical.
-func runChurnFacade(t *testing.T, algoName string, schedule diststream.ScheduleKind, churn bool) churnFacadeRun {
+// driver names the batch driver (see batchDrivers).
+func runChurnFacade(t *testing.T, algoName, driver string, churn bool) churnFacadeRun {
 	t.Helper()
 	workers, addrs := startFacadeCluster(t, 3)
 	opts := diststream.Options{
 		WorkerAddrs: addrs,
 		Execution: diststream.ExecutionOptions{
-			Schedule:    schedule,
 			CallTimeout: 10 * time.Second,
 			MaxRetries:  1,
 			Backoff:     10 * time.Millisecond,
@@ -67,10 +67,7 @@ func runChurnFacade(t *testing.T, algoName string, schedule diststream.ScheduleK
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := pl.RunContext(context.Background(), stream.NewSliceSource(deltaBlobStream(1200, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := driveBatches(t, pl, driver, 1, deltaBlobStream(1200, 4))
 	state, err := pl.Model().EncodeState()
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +102,15 @@ func startReplacementWorker(t *testing.T, driverAddr string) {
 
 // TestChurnEquivalence is the tentpole acceptance scenario at the public
 // API: killing a worker mid-stream and admitting a fresh joiner produces
-// final model state byte-identical to a clean fixed-membership BSP run,
-// for both acceptance algorithms under both execution schedules.
+// final model state byte-identical to a clean fixed-membership run, for
+// both acceptance algorithms under both batch drivers.
 func TestChurnEquivalence(t *testing.T) {
 	for _, algoName := range []string{"clustream", "denstream"} {
 		t.Run(algoName, func(t *testing.T) {
-			clean := runChurnFacade(t, algoName, diststream.ScheduleBSP, false)
-			for _, schedule := range []diststream.ScheduleKind{diststream.ScheduleBSP, diststream.SchedulePipelined} {
-				t.Run(string(schedule), func(t *testing.T) {
-					churned := runChurnFacade(t, algoName, schedule, true)
+			clean := runChurnFacade(t, algoName, "pipelined", false)
+			for _, driver := range batchDrivers {
+				t.Run(driver, func(t *testing.T) {
+					churned := runChurnFacade(t, algoName, driver, true)
 					if !bytes.Equal(churned.state, clean.state) {
 						t.Errorf("model state diverged under churn: %d bytes churned, %d clean",
 							len(churned.state), len(clean.state))

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON report on stdout, so benchmark runs can be
 // archived and diffed across commits (see `make bench-json`, which
-// writes BENCH_3.json).
+// writes a BENCH_*.json archive).
 //
 // Each benchmark line
 //
@@ -10,7 +10,12 @@
 // becomes one entry keyed by the benchmark name (GOMAXPROCS suffix
 // stripped) holding the iteration count and every reported metric
 // (ns/op, B/op, allocs/op, rec/s, and any custom b.ReportMetric units).
-// Context lines (goos, goarch, cpu, pkg) are captured per package.
+// Context lines (goos, goarch, cpu, pkg) are captured per package. The
+// environment also records the GOMAXPROCS the benchmarks ran under,
+// read from the stripped suffix (go test omits it at 1, and lists
+// several values comma-separated when -cpu varied it), plus num_cpu and
+// go_version of the converting process, so archives taken on hosts of
+// different core counts can be told apart.
 //
 // Lines of the form
 //
@@ -29,8 +34,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -55,11 +63,25 @@ type report struct {
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 func main() {
+	env := map[string]string{
+		"num_cpu":    strconv.Itoa(runtime.NumCPU()),
+		"go_version": runtime.Version(),
+	}
+	if err := run(os.Stdin, os.Stdout, env); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// run converts the benchmark transcript on r into the JSON report on w,
+// adding env to the environment the transcript declares.
+func run(r io.Reader, w io.Writer, env map[string]string) error {
 	rep := report{
 		Environment: map[string]string{},
 		Benchmarks:  map[string]benchResult{},
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	var procs []string
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	pkg := ""
 	for sc.Scan() {
@@ -84,9 +106,12 @@ func main() {
 				rep.SubLoad = append(rep.SubLoad, json.RawMessage(blob))
 			}
 		case strings.HasPrefix(line, "Benchmark"):
-			name, res, ok := parseBenchLine(line)
+			name, p, res, ok := parseBenchLine(line)
 			if !ok {
 				continue
+			}
+			if !slices.Contains(procs, p) {
+				procs = append(procs, p)
 			}
 			res.Package = pkg
 			if _, dup := rep.Benchmarks[name]; dup {
@@ -96,36 +121,46 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read stdin:", err)
-		os.Exit(1)
+		return fmt.Errorf("read input: %w", err)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	if len(procs) > 0 {
+		rep.Environment["gomaxprocs"] = strings.Join(procs, ",")
+	}
+	for k, v := range env {
+		rep.Environment[k] = v
+	}
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: encode:", err)
-		os.Exit(1)
+		return fmt.Errorf("encode: %w", err)
 	}
+	return nil
 }
 
 // parseBenchLine parses one benchmark result line: a name, an iteration
-// count, then (value, unit) pairs.
-func parseBenchLine(line string) (string, benchResult, bool) {
+// count, then (value, unit) pairs. It returns the name without its
+// GOMAXPROCS suffix and that GOMAXPROCS ("1" when go test left the
+// suffix off).
+func parseBenchLine(line string) (name, procs string, res benchResult, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return "", benchResult{}, false
+		return "", "", benchResult{}, false
 	}
-	name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
+	name, procs = fields[0], "1"
+	if suffix := gomaxprocsSuffix.FindString(name); suffix != "" {
+		name, procs = strings.TrimSuffix(name, suffix), suffix[1:]
+	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return "", benchResult{}, false
+		return "", "", benchResult{}, false
 	}
-	res := benchResult{Iterations: iters, Metrics: map[string]float64{}}
+	res = benchResult{Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return "", benchResult{}, false
+			return "", "", benchResult{}, false
 		}
 		res.Metrics[fields[i+1]] = v
 	}
-	return name, res, true
+	return name, procs, res, true
 }

@@ -15,24 +15,19 @@ import (
 	"diststream/internal/harness"
 	"diststream/internal/mbsp"
 	"diststream/internal/mbsp/rpcexec"
-	"diststream/internal/mbsp/sched"
 	"diststream/internal/stream"
 	"diststream/internal/vclock"
 )
 
-// runBench A/B-measures end-to-end batch latency of the execution
-// schedules over a real in-process TCP cluster: the same workload runs
-// under each requested schedule and the table reports per-batch latency
-// and throughput side by side. When both schedules run, the final models
-// are compared — a divergence is an error, since the pipelined schedule
-// guarantees bit-identical results.
+// runBench runs one workload over a real in-process TCP cluster and
+// reports per-batch latency, throughput and the wall time of every
+// pipeline stage, optionally under a CPU and heap profile.
 func runBench(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	records := fs.Int("records", 30000, "records in the generated dataset")
 	seed := fs.Int64("seed", 42, "generation seed")
 	workers := fs.Int("workers", 4, "TCP workers in the cluster")
 	algoName := fs.String("algo", "clustream", "algorithm to run")
-	schedule := fs.String("schedule", "both", "schedule to benchmark: bsp, pipelined or both")
 	delta := fs.Bool("delta", true, "ship model broadcasts as deltas")
 	shards := fs.Int("global-shards", 0, "shard the driver-side global update across this many shards (0 = serial)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the benchmarked runs to this file")
@@ -66,16 +61,6 @@ func runBench(w io.Writer, args []string) error {
 			}
 		}()
 	}
-	var kinds []sched.Kind
-	switch *schedule {
-	case "both":
-		kinds = sched.Kinds()
-	default:
-		if _, err := sched.New(sched.Kind(*schedule)); err != nil {
-			return fmt.Errorf("bench: %w", err)
-		}
-		kinds = []sched.Kind{sched.Kind(*schedule)}
-	}
 	n := *records
 	if n <= 0 {
 		n = 30000
@@ -88,58 +73,39 @@ func runBench(w io.Writer, args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	fmt.Fprintf(w, "schedule benchmark (%s, %s, %d TCP workers, delta broadcast %v, global shards %d)\n",
-		ds.Name, *algoName, *workers, *delta, *shards)
-	fmt.Fprintf(w, "  %-10s %-8s %8s %12s %12s %10s %10s %10s %10s %9s %9s %9s %14s\n",
-		"schedule", "executor", "batches", "batch ms", "records/s", "assign ms", "shuffle ms", "local ms", "global ms", "sort ms", "apply ms", "fold ms", "model weight")
-	results := make(map[sched.Kind]benchResult, len(kinds))
-	for _, kind := range kinds {
-		res, err := benchRun(ctx, ds, *algoName, *seed, *workers, kind, *delta, *shards)
-		if err != nil {
-			return fmt.Errorf("bench: %s run: %w", kind, err)
-		}
-		results[kind] = res
-		batchMS := 0.0
-		perBatch := func(d time.Duration) float64 { return 0 }
-		if res.stats.Batches > 0 {
-			batchMS = res.stats.TotalWall.Seconds() * 1e3 / float64(res.stats.Batches)
-			perBatch = func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(res.stats.Batches) }
-		}
-		fmt.Fprintf(w, "  %-10s %-8s %8d %12.2f %12.0f %10.2f %10.2f %10.2f %10.2f %9.2f %9.2f %9.2f %14.1f\n",
-			kind, "tcp", res.stats.Batches, batchMS, res.stats.Throughput(),
-			perBatch(res.stats.Assign.Wall), perBatch(res.stats.Shuffle.Wall),
-			perBatch(res.stats.LocalUpdate.Wall), perBatch(res.stats.GlobalUpdate.Wall),
-			perBatch(res.stats.GlobalSort.Wall), perBatch(res.stats.GlobalApply.Wall),
-			perBatch(res.stats.GlobalFold.Wall), res.modelWeight)
-		if *shards >= 1 && res.stats.ShardedGlobalBatches != res.stats.Batches {
-			fmt.Fprintf(w, "  (sharded global update engaged on %d of %d batches — algorithm lacks the capability on the rest)\n",
-				res.stats.ShardedGlobalBatches, res.stats.Batches)
-		}
+	res, err := benchRun(ctx, ds, *algoName, *seed, *workers, *delta, *shards)
+	if err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
-	bsp, hasBSP := results[sched.BSP]
-	pip, hasPip := results[sched.Pipelined]
-	if hasBSP && hasPip {
-		if bsp.modelLen != pip.modelLen || bsp.modelWeight != pip.modelWeight {
-			return fmt.Errorf("bench: models diverged across schedules: bsp %d MCs / %.3f weight, pipelined %d MCs / %.3f weight",
-				bsp.modelLen, bsp.modelWeight, pip.modelLen, pip.modelWeight)
-		}
-		if pip.stats.TotalWall > 0 {
-			fmt.Fprintf(w, "  models identical; pipelined speedup %.2fx\n",
-				bsp.stats.TotalWall.Seconds()/pip.stats.TotalWall.Seconds())
-		}
+	st := res.stats
+	perBatch := func(d time.Duration) float64 { return 0 }
+	if st.Batches > 0 {
+		perBatch = func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(st.Batches) }
+	}
+	fmt.Fprintf(w, "stage benchmark (%s, %s, %d TCP workers, delta broadcast %v, global shards %d)\n",
+		ds.Name, *algoName, *workers, *delta, *shards)
+	fmt.Fprintf(w, "  %8s %12s %12s %10s %10s %10s %10s %9s %9s %9s %14s\n",
+		"batches", "batch ms", "records/s", "assign ms", "shuffle ms", "local ms", "global ms", "sort ms", "apply ms", "fold ms", "model weight")
+	fmt.Fprintf(w, "  %8d %12.2f %12.0f %10.2f %10.2f %10.2f %10.2f %9.2f %9.2f %9.2f %14.1f\n",
+		st.Batches, perBatch(st.TotalWall), st.Throughput(),
+		perBatch(st.Assign.Wall), perBatch(st.Shuffle.Wall),
+		perBatch(st.LocalUpdate.Wall), perBatch(st.GlobalUpdate.Wall),
+		perBatch(st.GlobalSort.Wall), perBatch(st.GlobalApply.Wall),
+		perBatch(st.GlobalFold.Wall), res.modelWeight)
+	if *shards >= 1 && st.ShardedGlobalBatches != st.Batches {
+		fmt.Fprintf(w, "  (sharded global update engaged on %d of %d batches — algorithm lacks the capability on the rest)\n",
+			st.ShardedGlobalBatches, st.Batches)
 	}
 	return nil
 }
 
 type benchResult struct {
 	stats       core.RunStats
-	modelLen    int
 	modelWeight float64
 }
 
-// benchRun executes one run over a fresh in-process TCP cluster under
-// the given schedule.
-func benchRun(ctx context.Context, ds harness.Dataset, algoName string, seed int64, p int, kind sched.Kind, delta bool, shards int) (benchResult, error) {
+// benchRun executes one run over a fresh in-process TCP cluster.
+func benchRun(ctx context.Context, ds harness.Dataset, algoName string, seed int64, p int, delta bool, shards int) (benchResult, error) {
 	harness.RegisterAllWireTypes()
 	algos, err := harness.NewAlgorithmRegistry()
 	if err != nil {
@@ -167,10 +133,6 @@ func benchRun(ctx context.Context, ds harness.Dataset, algoName string, seed int
 	if err != nil {
 		return benchResult{}, err
 	}
-	schedule, err := sched.New(kind)
-	if err != nil {
-		return benchResult{}, err
-	}
 	algo, err := harness.NewAlgorithm(algoName, ds, seed)
 	if err != nil {
 		return benchResult{}, err
@@ -178,7 +140,6 @@ func benchRun(ctx context.Context, ds harness.Dataset, algoName string, seed int
 	pl, err := core.NewPipeline(core.Config{
 		Algorithm:     algo,
 		Engine:        eng,
-		Schedule:      schedule,
 		BatchInterval: vclock.Duration(2),
 		InitRecords:   500,
 		GlobalShards:  shards,
@@ -192,7 +153,6 @@ func benchRun(ctx context.Context, ds harness.Dataset, algoName string, seed int
 	}
 	return benchResult{
 		stats:       stats,
-		modelLen:    pl.Model().Len(),
 		modelWeight: pl.Model().TotalWeight(),
 	}, nil
 }

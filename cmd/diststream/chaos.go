@@ -20,7 +20,6 @@ import (
 	"diststream/internal/harness"
 	"diststream/internal/mbsp"
 	"diststream/internal/mbsp/rpcexec"
-	"diststream/internal/mbsp/sched"
 	"diststream/internal/membership"
 	"diststream/internal/stream"
 	"diststream/internal/supervise"
@@ -34,7 +33,7 @@ import (
 // itself to the membership registry, and the driver readmits it into
 // the vacated dispatch slot (full broadcast catch-up) at a batch
 // boundary. The run must finish with at least as many joins as kills
-// and a model byte-identical to a clean fixed-membership BSP run —
+// and a model byte-identical to a clean fixed-membership run —
 // any divergence or non-convergence exits non-zero so CI catches it.
 func runChaos(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
@@ -43,7 +42,6 @@ func runChaos(w io.Writer, args []string) error {
 	seed := fs.Int64("seed", 42, "generation seed")
 	kills := fs.Int("kills", 2, "SIGKILLs delivered over the run")
 	killEvery := fs.Int("kill-every", 3, "batches between kills")
-	schedules := fs.String("schedules", "bsp,pipelined", "comma-separated execution schedules to run under churn")
 	algosFlag := fs.String("algos", "clustream,denstream", "comma-separated algorithms")
 	timeout := fs.Duration("timeout", 4*time.Minute, "overall deadline")
 	if err := fs.Parse(args); err != nil {
@@ -64,40 +62,33 @@ func runChaos(w io.Writer, args []string) error {
 
 	fmt.Fprintf(w, "chaos (%s, %d workers, %d kills every %d batches, supervised subprocess cluster)\n",
 		ds.Name, *workers, *kills, *killEvery)
-	fmt.Fprintf(w, "  %-10s %-10s %8s %6s %6s %6s %8s %8s  %s\n",
-		"algo", "schedule", "batches", "kills", "joins", "lost", "retries", "restarts", "model")
+	fmt.Fprintf(w, "  %-10s %8s %6s %6s %6s %8s %8s  %s\n",
+		"algo", "batches", "kills", "joins", "lost", "retries", "restarts", "model")
 	var failures []string
 	for _, algoName := range strings.Split(*algosFlag, ",") {
 		algoName = strings.TrimSpace(algoName)
-		// The determinism yardstick: a clean, fixed-membership BSP run.
+		// The determinism yardstick: a clean, fixed-membership run.
 		ref, err := chaosReference(ctx, ds, *seed, algoName, *workers)
 		if err != nil {
 			return fmt.Errorf("chaos: reference run (%s): %w", algoName, err)
 		}
-		for _, schedName := range strings.Split(*schedules, ",") {
-			schedName = strings.TrimSpace(schedName)
-			schedule, err := sched.New(sched.Kind(schedName))
-			if err != nil {
-				return fmt.Errorf("chaos: %w", err)
-			}
-			res, err := chaosRun(ctx, ds, *seed, algoName, *workers, *kills, *killEvery, schedule)
-			if err != nil {
-				return fmt.Errorf("chaos: churn run (%s, %s): %w", algoName, schedName, err)
-			}
-			verdict := "identical"
-			if !bytes.Equal(ref, res.state) {
-				verdict = "DIVERGED"
-				failures = append(failures, fmt.Sprintf("%s/%s: model diverged from clean run (%d vs %d state bytes)",
-					algoName, schedName, len(res.state), len(ref)))
-			}
-			if res.stats.WorkerJoins < res.killsDone {
-				failures = append(failures, fmt.Sprintf("%s/%s: only %d joins for %d kills — self-healing did not converge",
-					algoName, schedName, res.stats.WorkerJoins, res.killsDone))
-			}
-			fmt.Fprintf(w, "  %-10s %-10s %8d %6d %6d %6d %8d %8d  %s\n",
-				algoName, schedName, res.stats.Batches, res.killsDone, res.stats.WorkerJoins,
-				res.stats.WorkerDepartures, res.stats.TaskRetries, res.restarts, verdict)
+		res, err := chaosRun(ctx, ds, *seed, algoName, *workers, *kills, *killEvery)
+		if err != nil {
+			return fmt.Errorf("chaos: churn run (%s): %w", algoName, err)
 		}
+		verdict := "identical"
+		if !bytes.Equal(ref, res.state) {
+			verdict = "DIVERGED"
+			failures = append(failures, fmt.Sprintf("%s: model diverged from clean run (%d vs %d state bytes)",
+				algoName, len(res.state), len(ref)))
+		}
+		if res.stats.WorkerJoins < res.killsDone {
+			failures = append(failures, fmt.Sprintf("%s: only %d joins for %d kills — self-healing did not converge",
+				algoName, res.stats.WorkerJoins, res.killsDone))
+		}
+		fmt.Fprintf(w, "  %-10s %8d %6d %6d %6d %8d %8d  %s\n",
+			algoName, res.stats.Batches, res.killsDone, res.stats.WorkerJoins,
+			res.stats.WorkerDepartures, res.stats.TaskRetries, res.restarts, verdict)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("chaos: %s", strings.Join(failures, "; "))
@@ -107,8 +98,7 @@ func runChaos(w io.Writer, args []string) error {
 }
 
 // chaosReference runs the workload once on an in-process TCP cluster
-// with fixed membership under the BSP schedule and returns the encoded
-// model state.
+// with fixed membership and returns the encoded model state.
 func chaosReference(ctx context.Context, ds harness.Dataset, seed int64, algoName string, p int) ([]byte, error) {
 	reg, err := chaosOpRegistry()
 	if err != nil {
@@ -132,11 +122,7 @@ func chaosReference(ctx context.Context, ds harness.Dataset, seed int64, algoNam
 		return nil, err
 	}
 	defer ex.Close()
-	bsp, err := sched.New(sched.BSP)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := chaosPipeline(ds, seed, algoName, ex, bsp, nil)
+	pl, err := chaosPipeline(ds, seed, algoName, ex, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +142,7 @@ type chaosResult struct {
 // chaosRun runs the workload over a supervised cluster of worker
 // subprocesses, SIGKILLing one every killEvery batches up to kills
 // times, and returns the final model state plus churn accounting.
-func chaosRun(ctx context.Context, ds harness.Dataset, seed int64, algoName string, p, kills, killEvery int, schedule sched.Schedule) (chaosResult, error) {
+func chaosRun(ctx context.Context, ds harness.Dataset, seed int64, algoName string, p, kills, killEvery int) (chaosResult, error) {
 	members, err := membership.New(membership.Config{
 		ListenAddr:    "127.0.0.1:0",
 		ProbeInterval: 150 * time.Millisecond,
@@ -208,7 +194,7 @@ func chaosRun(ctx context.Context, ds harness.Dataset, seed int64, algoName stri
 	defer ex.Close()
 
 	batches, killsDone := 0, 0
-	pl, err := chaosPipeline(ds, seed, algoName, ex, schedule, func(stream.Batch, *core.Model) error {
+	pl, err := chaosPipeline(ds, seed, algoName, ex, func(stream.Batch, *core.Model) error {
 		batches++
 		if killsDone >= kills || batches%killEvery != 0 {
 			return nil
@@ -259,7 +245,7 @@ func chaosOpRegistry() (*mbsp.Registry, error) {
 	return reg, nil
 }
 
-func chaosPipeline(ds harness.Dataset, seed int64, algoName string, ex mbsp.Executor, schedule sched.Schedule, onBatch func(stream.Batch, *core.Model) error) (*core.Pipeline, error) {
+func chaosPipeline(ds harness.Dataset, seed int64, algoName string, ex mbsp.Executor, onBatch func(stream.Batch, *core.Model) error) (*core.Pipeline, error) {
 	eng, err := mbsp.NewEngine(ex)
 	if err != nil {
 		return nil, err
@@ -271,7 +257,6 @@ func chaosPipeline(ds harness.Dataset, seed int64, algoName string, ex mbsp.Exec
 	return core.NewPipeline(core.Config{
 		Algorithm:     algo,
 		Engine:        eng,
-		Schedule:      schedule,
 		BatchInterval: vclock.Duration(2),
 		InitRecords:   500,
 		OnBatch:       onBatch,

@@ -12,7 +12,6 @@ import (
 	"diststream/internal/harness"
 	"diststream/internal/mbsp"
 	"diststream/internal/mbsp/rpcexec"
-	"diststream/internal/mbsp/sched"
 	"diststream/internal/stream"
 	"diststream/internal/vclock"
 )
@@ -28,17 +27,12 @@ func runFault(w io.Writer, args []string) error {
 	o.bind(fs)
 	workers := fs.Int("workers", 3, "TCP workers in the cluster")
 	killBatch := fs.Int("kill-batch", 3, "batch after which one worker is killed")
-	scheduleFlag := fs.String("schedule", "bsp", "execution schedule (bsp or pipelined)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall run deadline (RunContext)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *workers < 2 {
 		return fmt.Errorf("fault: need at least 2 workers to survive a kill, got %d", *workers)
-	}
-	schedule, err := sched.New(sched.Kind(*scheduleFlag))
-	if err != nil {
-		return fmt.Errorf("fault: %w", err)
 	}
 	records := o.records
 	if records <= 0 {
@@ -52,17 +46,17 @@ func runFault(w io.Writer, args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	clean, err := faultRun(ctx, ds, o.seed, *workers, -1, schedule)
+	clean, err := faultRun(ctx, ds, o.seed, *workers, -1)
 	if err != nil {
 		return fmt.Errorf("fault: clean run: %w", err)
 	}
-	injured, err := faultRun(ctx, ds, o.seed, *workers, *killBatch, schedule)
+	injured, err := faultRun(ctx, ds, o.seed, *workers, *killBatch)
 	if err != nil {
 		return fmt.Errorf("fault: injured run: %w", err)
 	}
 
-	fmt.Fprintf(w, "fault tolerance (%s, clustream, %d TCP workers, executor tcp, schedule %s, kill one after batch %d)\n",
-		ds.Name, *workers, schedule.Kind(), *killBatch)
+	fmt.Fprintf(w, "fault tolerance (%s, clustream, %d TCP workers, executor tcp, kill one after batch %d)\n",
+		ds.Name, *workers, *killBatch)
 	fmt.Fprintf(w, "  %-12s %10s %10s %10s %6s %12s %14s\n", "run", "batches", "records", "retries", "lost", "microclusters", "model weight")
 	for _, row := range []struct {
 		name string
@@ -89,9 +83,8 @@ type faultResult struct {
 }
 
 // faultRun executes one CluStream run over a fresh in-process TCP
-// cluster under the given schedule, killing one worker after killBatch
-// batches (-1 = never).
-func faultRun(ctx context.Context, ds harness.Dataset, seed int64, p, killBatch int, schedule sched.Schedule) (faultResult, error) {
+// cluster, killing one worker after killBatch batches (-1 = never).
+func faultRun(ctx context.Context, ds harness.Dataset, seed int64, p, killBatch int) (faultResult, error) {
 	harness.RegisterAllWireTypes()
 	algos, err := harness.NewAlgorithmRegistry()
 	if err != nil {
@@ -131,7 +124,6 @@ func faultRun(ctx context.Context, ds harness.Dataset, seed int64, p, killBatch 
 	pl, err := core.NewPipeline(core.Config{
 		Algorithm:     algo,
 		Engine:        eng,
-		Schedule:      schedule,
 		BatchInterval: vclock.Duration(2),
 		InitRecords:   500,
 		OnBatch: func(stream.Batch, *core.Model) error {

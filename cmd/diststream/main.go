@@ -16,8 +16,8 @@
 //	batch-sweep   Figure 9 — throughput vs batch interval at p=32
 //	other-algos   Figure 10 — D-Stream and ClusTree scalability
 //	ablate        §V-A / §V-C design-choice ablations
-//	bench         A/B the bsp and pipelined execution schedules on a
-//	              TCP cluster; report per-batch latency and throughput
+//	bench         one run on a TCP cluster; report per-batch latency,
+//	              throughput and per-stage wall time (optional profiles)
 //	fault         kill a TCP worker mid-run; show recovery + determinism
 //	chaos         supervised subprocess cluster with periodic SIGKILLs;
 //	              workers rejoin via membership catch-up, model must stay
@@ -104,7 +104,7 @@ func run(args []string, w io.Writer) error {
 	}
 	cmd, rest := args[0], args[1:]
 	if cmd == "bench" {
-		// bench has its own flag set (cluster size, schedule selection).
+		// bench has its own flag set (cluster size, profiles).
 		return runBench(w, rest)
 	}
 	if cmd == "fault" {
@@ -112,7 +112,7 @@ func run(args []string, w io.Writer) error {
 		return runFault(w, rest)
 	}
 	if cmd == "chaos" {
-		// chaos has its own flag set (kill cadence, schedules, algorithms).
+		// chaos has its own flag set (kill cadence, algorithms).
 		return runChaos(w, rest)
 	}
 	if cmd == "_worker" {

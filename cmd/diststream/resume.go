@@ -35,7 +35,6 @@ func runResume(w io.Writer, args []string) error {
 	killBatch := fs.Int("kill-batch", 4, "batch after which the driver crashes")
 	every := fs.Int("every", 2, "checkpoint cadence in batches")
 	dir := fs.String("dir", "", "checkpoint directory (default: a fresh temp dir)")
-	scheduleFlag := fs.String("schedule", "bsp", "execution schedule (bsp or pipelined)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall deadline")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -43,7 +42,6 @@ func runResume(w io.Writer, args []string) error {
 	if *killBatch < 1 {
 		return fmt.Errorf("resume: -kill-batch %d must be at least 1", *killBatch)
 	}
-	schedule := diststream.ScheduleKind(*scheduleFlag)
 	ds, err := harness.LoadDataset(datagen.KDD99Sim, *records, 100, *seed)
 	if err != nil {
 		return err
@@ -70,21 +68,21 @@ func runResume(w io.Writer, args []string) error {
 
 	// The reference checkpoints too, so its Checkpoints counter is
 	// directly comparable with the resumed run's.
-	reference, err := resumeRun(ctx, ds, *seed, *parallelism, schedule, refDir, *every, -1, false)
+	reference, err := resumeRun(ctx, ds, *seed, *parallelism, refDir, *every, -1, false)
 	if err != nil {
 		return fmt.Errorf("resume: reference run: %w", err)
 	}
-	crashed, err := resumeRun(ctx, ds, *seed, *parallelism, schedule, runDir, *every, *killBatch, false)
+	crashed, err := resumeRun(ctx, ds, *seed, *parallelism, runDir, *every, *killBatch, false)
 	if !errors.Is(err, errSimulatedCrash) {
 		return fmt.Errorf("resume: crashed run ended with %v, want the simulated crash", err)
 	}
-	resumed, err := resumeRun(ctx, ds, *seed, *parallelism, schedule, runDir, *every, -1, true)
+	resumed, err := resumeRun(ctx, ds, *seed, *parallelism, runDir, *every, -1, true)
 	if err != nil {
 		return fmt.Errorf("resume: resumed run: %w", err)
 	}
 
-	fmt.Fprintf(w, "checkpoint/resume (%s, clustream, p=%d, executor local, schedule %s, checkpoint every %d batches, crash after batch %d)\n",
-		ds.Name, *parallelism, schedule, *every, *killBatch)
+	fmt.Fprintf(w, "checkpoint/resume (%s, clustream, p=%d, executor local, checkpoint every %d batches, crash after batch %d)\n",
+		ds.Name, *parallelism, *every, *killBatch)
 	fmt.Fprintf(w, "  %-10s %8s %8s %12s %14s %14s\n", "run", "batches", "records", "checkpoints", "microclusters", "model weight")
 	for _, row := range []struct {
 		name string
@@ -121,11 +119,8 @@ type resumeResult struct {
 // that many batches; doResume loads the newest checkpoint in dir before
 // running (the source replays the stream from the beginning, as the
 // resume contract requires).
-func resumeRun(ctx context.Context, ds harness.Dataset, seed int64, p int, schedule diststream.ScheduleKind, dir string, every, killBatch int, doResume bool) (resumeResult, error) {
-	sys, err := diststream.New(diststream.Options{
-		Parallelism: p,
-		Execution:   diststream.ExecutionOptions{Schedule: schedule},
-	})
+func resumeRun(ctx context.Context, ds harness.Dataset, seed int64, p int, dir string, every, killBatch int, doResume bool) (resumeResult, error) {
+	sys, err := diststream.New(diststream.Options{Parallelism: p})
 	if err != nil {
 		return resumeResult{}, err
 	}

@@ -41,7 +41,6 @@ import (
 	"diststream/internal/dstream"
 	"diststream/internal/mbsp"
 	"diststream/internal/mbsp/rpcexec"
-	"diststream/internal/mbsp/sched"
 	"diststream/internal/membership"
 	"diststream/internal/simple"
 	"diststream/internal/stream"
@@ -100,32 +99,12 @@ const (
 	OrderUnordered = core.OrderUnordered
 )
 
-// ScheduleKind names a batch execution schedule (see ScheduleBSP and
-// SchedulePipelined).
-type ScheduleKind = sched.Kind
-
-// Shipped schedules.
-const (
-	// ScheduleBSP is the strict bulk-synchronous schedule: every stage is
-	// a full barrier. The default.
-	ScheduleBSP = sched.BSP
-	// SchedulePipelined overlaps broadcast with task delivery, streams the
-	// shuffle's counting pass as assign tasks complete, and lets the
-	// driver overlap a batch's publish/checkpoint tail and the next
-	// batch's prefetch with the current batch's parallel stages. Final
-	// model state is bit-identical to ScheduleBSP.
-	SchedulePipelined = sched.Pipelined
-)
-
 // ExecutionOptions consolidates every knob that governs how batches
-// execute: the schedule strategy, broadcast encoding, straggler
+// execute: broadcast encoding, straggler
 // speculation, the TCP executor's fault-tolerance timings and the
 // default checkpoint cadence. Zero-valued fields take the documented
 // defaults.
 type ExecutionOptions struct {
-	// Schedule selects the batch execution strategy: ScheduleBSP
-	// (default) or SchedulePipelined.
-	Schedule ScheduleKind
 	// DeltaBroadcast ships per-batch model snapshots as deltas (only the
 	// micro-clusters that changed since the worker's last acknowledged
 	// snapshot) instead of full copies (TCP executor only). Reconnects,
@@ -200,8 +179,7 @@ type Options struct {
 	// with cmd/mbsp-worker or rpcexec.NewWorker) instead of in-process
 	// goroutines. Parallelism is then len(WorkerAddrs).
 	WorkerAddrs []string
-	// Execution gathers the execution-strategy knobs: schedule, delta
-	// broadcast, speculation, TCP fault-tolerance timings, checkpoint
+	// Execution gathers the execution-strategy knobs: delta broadcast, speculation, TCP fault-tolerance timings, checkpoint
 	// cadence.
 	Execution ExecutionOptions
 }
@@ -211,7 +189,6 @@ type Options struct {
 type System struct {
 	engine   *mbsp.Engine
 	algos    *core.AlgorithmRegistry
-	schedule sched.Schedule
 	execName string
 	exec     ExecutionOptions
 	// members is the elastic-membership registry (nil unless
@@ -225,10 +202,6 @@ func New(opts Options) (*System, error) {
 		opts.Parallelism = 1
 	}
 	ex := opts.Execution
-	schedule, err := sched.New(ex.Schedule)
-	if err != nil {
-		return nil, fmt.Errorf("diststream: %w", err)
-	}
 	algos, err := NewAlgorithmRegistry()
 	if err != nil {
 		return nil, err
@@ -296,7 +269,7 @@ func New(opts Options) (*System, error) {
 		}
 		return nil, err
 	}
-	return &System{engine: engine, algos: algos, schedule: schedule, execName: execName, exec: ex, members: members}, nil
+	return &System{engine: engine, algos: algos, execName: execName, exec: ex, members: members}, nil
 }
 
 // Close releases the engine (and closes worker connections in TCP mode),
@@ -323,9 +296,6 @@ func (s *System) MembershipAddr() string {
 
 // Parallelism returns the configured worker count.
 func (s *System) Parallelism() int { return s.engine.Parallelism() }
-
-// Schedule returns the active batch execution schedule's kind.
-func (s *System) Schedule() ScheduleKind { return s.schedule.Kind() }
 
 // ExecutorName names the executor backing this system: "local" for the
 // in-process executor, "tcp" for remote workers.
@@ -388,13 +358,13 @@ type PipelineOptions struct {
 	OnBatch func(batch stream.Batch, model *Model) error
 	// OnSnapshot, when set, receives a frozen deep copy of the model —
 	// micro-cluster clones plus a prebuilt search index — after
-	// initialization and after every global update. Under the default
-	// BSP schedule it runs synchronously on the batch loop; under
-	// SchedulePipelined it may run concurrently with the next batch's
-	// parallel stages (never concurrently with itself). Implementations
-	// should be cheap either way (an atomic pointer swap into a
-	// registry); this is the publication feed a query-serving subsystem
-	// reads from (see `diststream serve`).
+	// initialization and after every global update. Under Run and
+	// RunContext it runs in the batch's tail, beside the next batch's
+	// parallel stages (never beside a model mutation, never concurrently
+	// with itself); ProcessBatch calls it synchronously. Implementations
+	// should be cheap (an atomic pointer swap into a registry); this is
+	// the publication feed a query-serving subsystem reads from (see
+	// `diststream serve`).
 	OnSnapshot func(Published)
 	// SnapshotMinInterval, when positive, paces OnSnapshot by wall
 	// time: building a publication (model clone + search index) has a
@@ -420,7 +390,6 @@ func (s *System) NewPipeline(algo Algorithm, opts PipelineOptions) (*Pipeline, e
 	return core.NewPipeline(core.Config{
 		Algorithm:          algo,
 		Engine:             s.engine,
-		Schedule:           s.schedule,
 		GlobalShards:       s.exec.GlobalShards,
 		BatchInterval:      vclock.Duration(opts.BatchSeconds),
 		Order:              opts.Order,

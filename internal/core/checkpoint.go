@@ -139,24 +139,11 @@ type pipelineState struct {
 	BatchesSeen int
 }
 
-// writeCheckpoint persists the current pipeline state. Called from the
-// batch loop after a completed global update (and after the adaptive
-// controller adjusted the interval), so the snapshot is always a
+// writeCheckpointState persists a pipeline snapshot built from state the
+// batch loop captured when it scheduled the checkpoint tail. The model is
+// encoded from p.model directly: the join discipline of RunContext keeps
+// it immutable until the tail is awaited, so the snapshot is always a
 // consistent batch boundary.
-func (p *Pipeline) writeCheckpoint(batcher *stream.Batcher) error {
-	// Count this checkpoint before encoding the stats so a resumed run's
-	// counter continues from a total that includes the snapshot it was
-	// restored from.
-	p.stats.Checkpoints++
-	return p.writeCheckpointState(p.stats, batcher.State(), p.batchesSeen, p.initialized, p.initBuf)
-}
-
-// writeCheckpointState persists a pipeline snapshot built from captured
-// state, so the synchronous batch loop and the overlapped runner's async
-// checkpoint tail produce bit-identical payloads. The model is encoded
-// from p.model directly: the caller guarantees no model mutation is in
-// flight (trivially true on the batch loop; enforced by the join
-// discipline in the overlapped runner).
 func (p *Pipeline) writeCheckpointState(stats RunStats, batcherState stream.BatcherState,
 	batchesSeen int, initialized bool, initBuf []stream.Record) error {
 	codec, ok := p.cfg.Algorithm.(StateCodec)

@@ -2,8 +2,14 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"diststream/internal/checkpoint"
 	"diststream/internal/stream"
@@ -144,6 +150,73 @@ func TestCheckpointCadenceAndPrune(t *testing.T) {
 	}
 	if stats.Checkpoints < len(entries) {
 		t.Errorf("Checkpoints = %d, fewer than files on disk (%d)", stats.Checkpoints, len(entries))
+	}
+}
+
+// TestCheckpointTailErrorSurfacesOnce points the checkpoint directory
+// beneath a regular file, so the first checkpoint that comes due fails
+// inside the batch tail that runs beside the next batch's stages. The
+// run must stop with that one error, wrapped once, and must not return
+// while a tail is still running: the slow publish hook would still be
+// in flight (or start later) if RunContext returned without joining it.
+func TestCheckpointTailErrorSurfacesOnce(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var inflight, lateCalls atomic.Int32
+	var returned atomic.Bool
+	pl, err := NewPipeline(Config{
+		Algorithm:     newToyAlgo(),
+		Engine:        newToyEngine(t, 2),
+		BatchInterval: 1,
+		InitRecords:   50,
+		Checkpoint:    &CheckpointConfig{Dir: filepath.Join(file, "ck"), EveryNBatches: 2},
+		OnPublish: func(Published) {
+			if returned.Load() {
+				lateCalls.Add(1)
+			}
+			inflight.Add(1)
+			time.Sleep(5 * time.Millisecond)
+			inflight.Add(-1)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	stats, err := pl.Run(stream.NewSliceSource(twoBlobStream(1000, 100)))
+	returned.Store(true)
+	if n := inflight.Load(); n != 0 {
+		t.Errorf("%d publish calls still running after RunContext returned", n)
+	}
+	const want = "core: checkpoint after batch 2: "
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %v, want prefix %q", err, want)
+	}
+	if n := strings.Count(err.Error(), "checkpoint after batch"); n != 1 {
+		t.Errorf("checkpoint error wrapped %d times: %v", n, err)
+	}
+	if !strings.Contains(err.Error(), "create dir") {
+		t.Errorf("err = %v, want the checkpoint write's create-dir failure", err)
+	}
+	// The failure surfaces at the next batch's join, before its global
+	// update: two batches completed, the third stopped.
+	if stats.Batches > 3 {
+		t.Errorf("run went on for %d batches after the failed checkpoint", stats.Batches)
+	}
+	// Goroutines that already delivered their result may take a moment to
+	// exit; a leaked tail would not come back down.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before the run, %d after", before, after)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := lateCalls.Load(); n != 0 {
+		t.Errorf("%d publish calls started after RunContext returned", n)
 	}
 }
 

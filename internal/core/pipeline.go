@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"diststream/internal/mbsp"
-	"diststream/internal/mbsp/sched"
 	"diststream/internal/stream"
 	"diststream/internal/vclock"
 )
@@ -52,15 +51,6 @@ type Config struct {
 	Algorithm Algorithm
 	// Engine executes the parallel stages.
 	Engine *mbsp.Engine
-	// Schedule is the batch execution strategy driving the parallel
-	// stages (see internal/mbsp/sched). Nil selects the strict BSP
-	// schedule. An Overlapped schedule additionally lets the driver run
-	// the previous batch's publish/checkpoint tail and the next batch's
-	// prefetch concurrently with the current batch's parallel stages;
-	// the global update runs exclusively on the batch loop (serial, or
-	// sharded via GlobalShards — never concurrent with a previous batch's
-	// tail), so final model state is bit-identical across schedules.
-	Schedule sched.Schedule
 	// GlobalShards, when >= 1, partitions the global update's micro-
 	// cluster keyspace into that many shards and runs the per-MC phase as
 	// parallel per-shard reducers with a serialized cross-shard residue —
@@ -208,10 +198,9 @@ func (s RunStats) StragglerFraction() float64 {
 // Pipeline is a running DistStream instance: the driver-side batch loop
 // over an mbsp engine.
 type Pipeline struct {
-	cfg      Config
-	schedule sched.Schedule
-	model    *Model
-	stats    RunStats
+	cfg   Config
+	model *Model
+	stats RunStats
 
 	// Sharded global update machinery (nil sharder: serial path). The
 	// pool and planner persist across batches so steady-state sharded
@@ -291,11 +280,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.GlobalShards < 0 {
 		return nil, fmt.Errorf("core: global shards %d must be >= 0", cfg.GlobalShards)
 	}
-	schedule := cfg.Schedule
-	if schedule == nil {
-		schedule, _ = sched.New(sched.BSP)
-	}
-	p := &Pipeline{cfg: cfg, schedule: schedule, model: NewModel()}
+	p := &Pipeline{cfg: cfg, model: NewModel()}
 	if cfg.GlobalShards >= 1 {
 		// Capability detection, same pattern as mbsp.Capabilities:
 		// algorithms without a sharded decomposition keep the serial path.
@@ -311,9 +296,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 // ShardedGlobal reports whether global updates run the sharded path:
 // GlobalShards >= 1 and the algorithm implements ShardedGlobalUpdater.
 func (p *Pipeline) ShardedGlobal() bool { return p.sharder != nil }
-
-// Schedule returns the batch execution strategy the pipeline runs under.
-func (p *Pipeline) Schedule() sched.Schedule { return p.schedule }
 
 // Model returns the live model (driver-side view).
 func (p *Pipeline) Model() *Model { return p.model }
@@ -337,65 +319,8 @@ func (p *Pipeline) Run(src stream.Source) (RunStats, error) {
 	return p.RunContext(context.Background(), src)
 }
 
-// RunContext is Run under a context: cancelling ctx (or hitting its
-// deadline) stops the run between batches — and interrupts in-flight
-// worker calls on executors that support it — returning the context's
-// error with the statistics accumulated so far.
-func (p *Pipeline) RunContext(ctx context.Context, src stream.Source) (RunStats, error) {
-	start := time.Now()
-	batcher, err := stream.NewBatcher(src, p.cfg.BatchInterval)
-	if err != nil {
-		return p.stats, err
-	}
-	if p.resume != nil {
-		if err := p.applyResume(ctx, src, batcher); err != nil {
-			return p.stats, err
-		}
-	}
-	if p.schedule.Overlapped() {
-		return p.runOverlapped(ctx, batcher, start)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			p.stats.TotalWall = p.wallBase + time.Since(start)
-			return p.stats, err
-		}
-		batch, err := batcher.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return p.stats, err
-		}
-		if err := p.ProcessBatchContext(ctx, batch); err != nil {
-			return p.stats, err
-		}
-		if p.cfg.Adaptive != nil {
-			next := p.cfg.Adaptive.next(batcher.Interval(), len(batch.Records))
-			if next != batcher.Interval() {
-				if err := batcher.SetInterval(next); err != nil {
-					return p.stats, err
-				}
-				p.stats.AdaptiveAdjustments++
-			}
-			p.stats.FinalBatchSeconds = float64(batcher.Interval())
-		}
-		p.batchesSeen++
-		if p.cfg.Checkpoint != nil && p.batchesSeen%p.cfg.Checkpoint.EveryNBatches == 0 {
-			if err := p.writeCheckpoint(batcher); err != nil {
-				return p.stats, fmt.Errorf("core: checkpoint after batch %d: %w", p.batchesSeen, err)
-			}
-		}
-	}
-	if err := p.finishInit(); err != nil {
-		return p.stats, err
-	}
-	p.stats.TotalWall = p.wallBase + time.Since(start)
-	return p.stats, nil
-}
-
 // prefetchThreshold is the observed per-fetch wall time above which the
-// overlapped runner prefetches the next batch asynchronously. Below it
+// batch loop prefetches the next batch asynchronously. Below it
 // the source is effectively instant and the goroutine handoff would cost
 // more than the fetch it hides.
 const prefetchThreshold = 100 * time.Microsecond
@@ -410,16 +335,29 @@ type fetched struct {
 	err   error
 }
 
-// runOverlapped is the batch loop for schedules with Overlapped() true.
-// It overlaps three kinds of dependency-free work with batch N's
-// broadcast+assign: batch N-1's publish/checkpoint tail (runs until
+// RunContext is Run under a context: cancelling ctx (or hitting its
+// deadline) stops the run between batches — and interrupts in-flight
+// worker calls on executors that support it — returning the context's
+// error with the statistics accumulated so far.
+//
+// The loop overlaps two kinds of dependency-free work with batch N's
+// broadcast+assign: batch N-1's publish/checkpoint tail (it runs until
 // runBatch joins it right before the global update), and the prefetch of
 // batch N+1 from the source. The global update itself — the only model
 // mutation — runs exclusively on the batch loop after that join (its
 // sharded variant parallelizes internally but never overlaps another
-// batch's work), so the final model is bit-identical to the synchronous
-// loop's.
-func (p *Pipeline) runOverlapped(ctx context.Context, batcher *stream.Batcher, start time.Time) (RunStats, error) {
+// batch's work), so batch N+1 always assigns against batch N's model.
+func (p *Pipeline) RunContext(ctx context.Context, src stream.Source) (RunStats, error) {
+	start := time.Now()
+	batcher, err := stream.NewBatcher(src, p.cfg.BatchInterval)
+	if err != nil {
+		return p.stats, err
+	}
+	if p.resume != nil {
+		if err := p.applyResume(ctx, src, batcher); err != nil {
+			return p.stats, err
+		}
+	}
 	adaptive := p.cfg.Adaptive != nil
 	// Prefetching from a source that delivers instantly (a replayed slice,
 	// an in-memory buffer) costs more in goroutine handoffs than it hides,
@@ -486,10 +424,13 @@ func (p *Pipeline) runOverlapped(ctx context.Context, batcher *stream.Batcher, s
 		}
 		// Start prefetching the next batch while this one runs. Skipped
 		// under adaptive batching: the controller retunes the interval
-		// after this batch, which must happen before the next cut.
+		// after this batch, which must happen before the next cut. Also
+		// skipped until the model is initialized: a warm-up batch runs no
+		// stages for the fetch to hide behind, and the initialization it
+		// may complete is driver work the fetch would compete with.
 		// (fetchWall is safe to read here: the goroutine that last wrote
 		// it was consumed by takeFetch's channel receive.)
-		if !adaptive && fetchWall >= prefetchThreshold {
+		if !adaptive && p.initialized && fetchWall >= prefetchThreshold {
 			ch := make(chan *fetched, 1)
 			inflight = ch
 			go func() { ch <- fetch() }()
@@ -514,14 +455,16 @@ func (p *Pipeline) runOverlapped(ctx context.Context, batcher *stream.Batcher, s
 		}
 		p.batchesSeen++
 		checkpointDue := p.cfg.Checkpoint != nil && p.batchesSeen%p.cfg.Checkpoint.EveryNBatches == 0
-		if (processed && p.cfg.OnPublish != nil) || checkpointDue {
+		if processed || checkpointDue {
 			// Normally a no-op (runBatch already joined before its global
 			// update); real only when this batch was absorbed by warm-up
 			// without triggering initialization.
 			if err := joinPost(); err != nil {
 				return fail(err)
 			}
-			post = p.schedulePost(processed, checkpointDue, stateAfter)
+			if publishing := processed && p.publishDue(); publishing || checkpointDue {
+				post = p.schedulePost(publishing, checkpointDue, stateAfter)
+			}
 		}
 		if cur = takeFetch(); cur == nil {
 			cur = fetch()
@@ -542,15 +485,16 @@ func (p *Pipeline) runOverlapped(ctx context.Context, batcher *stream.Batcher, s
 // captured by value here, on the batch loop, so the tail reads nothing a
 // later batch mutates — except the model itself, which the join
 // discipline keeps immutable until the tail is awaited.
-func (p *Pipeline) schedulePost(processed, checkpointDue bool, batcherState stream.BatcherState) chan error {
+func (p *Pipeline) schedulePost(publishing, checkpointDue bool, batcherState stream.BatcherState) chan error {
 	pubStats := p.stats
 	var ckStats RunStats
 	var seq int
 	var initialized bool
 	var initBuf []stream.Record
 	if checkpointDue {
-		// Count the checkpoint on the loop now, exactly where the
-		// synchronous path does, so later batches' stats include it.
+		// Count the checkpoint on the loop now, before the stats are
+		// captured, so the snapshot's counter includes itself and a resumed
+		// run continues from the same total as an uninterrupted one.
 		p.stats.Checkpoints++
 		ckStats = p.stats
 		seq = p.batchesSeen
@@ -559,8 +503,8 @@ func (p *Pipeline) schedulePost(processed, checkpointDue bool, batcherState stre
 	}
 	ch := make(chan error, 1)
 	go func() {
-		if processed {
-			p.publish(pubStats)
+		if publishing {
+			p.publishModel(pubStats)
 		}
 		var err error
 		if checkpointDue {
@@ -593,11 +537,10 @@ func (p *Pipeline) ProcessBatchContext(ctx context.Context, batch stream.Batch) 
 	return nil
 }
 
-// runBatch drives one mini-batch through the configured schedule's
-// parallel stages and the driver's global update. join, when non-nil, is
-// awaited immediately before the first model mutation (the overlapped
-// runner passes the join of the previous batch's publish/checkpoint
-// tail). It reports whether the batch flowed through the parallel stages
+// runBatch drives one mini-batch through the parallel stages and the
+// driver's global update. join, when non-nil, is awaited immediately
+// before the first model mutation (RunContext passes the join of the
+// previous batch's publish/checkpoint tail). It reports whether the batch flowed through the parallel stages
 // (false: fully absorbed by warm-up).
 func (p *Pipeline) runBatch(ctx context.Context, batch stream.Batch, join func() error) (bool, error) {
 	records := batch.Records
@@ -631,25 +574,25 @@ func (p *Pipeline) runBatch(ctx context.Context, batch stream.Batch, join func()
 	if err != nil {
 		return false, err
 	}
-	// The workers' broadcast state is unknown from the moment the
-	// schedule starts until it succeeds; any failure in between forces
-	// the next batch's broadcast to carry the full snapshot.
+	// The workers' broadcast state is unknown from the moment the stages
+	// start until they succeed; any failure in between forces the next
+	// batch's broadcast to carry the full snapshot.
 	p.lastBroadcast = nil
-	res, err := p.schedule.RunBatch(ctx, p.cfg.Engine, job)
+	res, err := runStages(ctx, p.cfg.Engine, job)
 	if err != nil {
 		p.accountEngineMetrics()
 		return false, fmt.Errorf("core: %w", err)
 	}
 	p.lastBroadcast = list
 	p.configSent = true
-	p.stats.Assign.Wall += res.AssignWall
+	p.stats.Assign.Wall += res.assignWall
 	p.stats.Assign.Count++
-	p.stats.Shuffle.Wall += res.ShuffleWall
+	p.stats.Shuffle.Wall += res.shuffleWall
 	p.stats.Shuffle.Count++
-	p.stats.LocalUpdate.Wall += res.LocalWall
+	p.stats.LocalUpdate.Wall += res.localWall
 	p.stats.LocalUpdate.Count++
 
-	updates, err := collectUpdates(res.Updates)
+	updates, err := collectUpdates(res.updates)
 	if err != nil {
 		return false, err
 	}
@@ -757,12 +700,12 @@ func (p *Pipeline) runInit() error {
 
 // buildJob freezes the model snapshot (plus a delta against the last
 // successful broadcast, on engines with the capability), partitions the
-// batch's records and packages everything into the schedule's job. It
-// also returns the clone list to install as lastBroadcast once the
-// schedule's broadcast succeeds. The full snapshot remains the fallback
+// batch's records and packages everything into the stages' job. It also
+// returns the clone list to install as lastBroadcast once the broadcast
+// succeeds. The full snapshot remains the fallback
 // for fresh workers, reconnects and algorithms whose every micro-cluster
 // changes per batch.
-func (p *Pipeline) buildJob(records []stream.Record) (*sched.Job, []MicroCluster, error) {
+func (p *Pipeline) buildJob(records []stream.Record) (*stageJob, []MicroCluster, error) {
 	list := p.model.CloneList()
 	snap := p.cfg.Algorithm.NewSnapshot(list)
 	p.modelVersion++
@@ -783,18 +726,9 @@ func (p *Pipeline) buildJob(records []stream.Record) (*sched.Job, []MicroCluster
 	if err != nil {
 		return nil, nil, err
 	}
-	job := &sched.Job{
-		ModelID:    BroadcastModel,
-		Model:      snap,
-		ModelDelta: delta,
-		AssignOp:   OpAssign,
-		LocalOp:    OpLocalUpdate,
-		Inputs:     parts,
-		Partitions: p.cfg.Engine.Parallelism(),
-	}
+	job := &stageJob{model: snap, modelDelta: delta, inputs: parts}
 	if !p.configSent {
-		job.ConfigID = BroadcastConfig
-		job.Config = TaskConfig{
+		job.config = TaskConfig{
 			Params:        p.cfg.Algorithm.Params(),
 			Ordered:       p.cfg.Order == OrderAware,
 			PreMerge:      !p.cfg.DisablePreMerge,

@@ -39,31 +39,42 @@ type Published struct {
 }
 
 // PublishHook receives each post-global-update model publication. Under
-// the default BSP schedule it runs synchronously on the driver's batch
-// loop; under an overlapped schedule it may run concurrently with the
-// next batch's parallel stages (never with a model mutation, and never
-// concurrently with itself). Either way implementations should be cheap
-// (e.g. an atomic pointer swap); anything slow belongs on the receiver's
-// side of that swap.
+// RunContext it runs in the batch's tail, concurrently with the next
+// batch's parallel stages (never with a model mutation, and never
+// concurrently with itself); ProcessBatch runs it synchronously.
+// Implementations should be cheap (e.g. an atomic pointer swap); anything
+// slow belongs on the receiver's side of that swap.
 type PublishHook func(Published)
 
-// publish clones the current model and hands it to the OnPublish hook.
-// stats is passed by value so the overlapped runner can hand the hook
-// the statistics as of the published batch while the loop keeps
-// accumulating; the model itself is only read (CloneList/Now/snapshot),
-// which the overlapped runner's join discipline makes safe.
+// publish hands the current model to the OnPublish hook when a
+// publication is due.
 func (p *Pipeline) publish(stats RunStats) {
+	if p.publishDue() {
+		p.publishModel(stats)
+	}
+}
+
+// publishDue reports whether a publication would go out now: a hook is
+// set and, under PublishMinInterval pacing, the interval since the last
+// publication has elapsed. The batch loop asks before scheduling a tail,
+// so a paced-out batch costs no clone and no goroutine. lastPublish is
+// only written by publishModel, which never runs concurrently with
+// itself and is always joined before the loop asks again, so the plain
+// field needs no lock.
+func (p *Pipeline) publishDue() bool {
 	if p.cfg.OnPublish == nil {
-		return
+		return false
 	}
-	// Publication pacing: skip the whole clone+index+snapshot build while
-	// the interval since the last publication has not elapsed. publish is
-	// never called concurrently with itself (see PublishHook), so the
-	// plain timestamp field needs no lock.
-	if p.cfg.PublishMinInterval > 0 && !p.lastPublish.IsZero() &&
-		time.Since(p.lastPublish) < p.cfg.PublishMinInterval {
-		return
-	}
+	return p.cfg.PublishMinInterval <= 0 || p.lastPublish.IsZero() ||
+		time.Since(p.lastPublish) >= p.cfg.PublishMinInterval
+}
+
+// publishModel clones the current model and hands it to the OnPublish
+// hook. stats is passed by value so the batch tail can hand the hook the
+// statistics as of the published batch while the loop keeps
+// accumulating; the model itself is only read (CloneList/Now/snapshot),
+// which the batch loop's join discipline makes safe.
+func (p *Pipeline) publishModel(stats RunStats) {
 	p.lastPublish = time.Now()
 	clones := p.model.CloneList()
 	idx := BuildFlatIndex(clones)

@@ -59,20 +59,6 @@ func (e *Engine) Broadcast(ctx context.Context, id string, v Item) error {
 	return e.exec.Broadcast(ctx, id, v)
 }
 
-// BroadcastDelta publishes full under id, offering delta as a cheap
-// update for workers that already hold the previous version. Executors
-// without the DeltaBroadcaster capability (or with a nil delta) receive
-// the full value through the plain Broadcast path, so callers may invoke
-// this unconditionally.
-func (e *Engine) BroadcastDelta(ctx context.Context, id string, full, delta Item) error {
-	if delta != nil {
-		if db, ok := e.exec.(DeltaBroadcaster); ok && db.DeltaBroadcastEnabled() {
-			return db.BroadcastDelta(ctx, id, full, delta)
-		}
-	}
-	return e.exec.Broadcast(ctx, id, full)
-}
-
 // Capabilities reports the executor's optional capabilities.
 func (e *Engine) Capabilities() Capabilities { return e.capable.Capabilities() }
 

@@ -175,8 +175,8 @@ func (s StageMetrics) StragglerFraction() float64 {
 }
 
 // Capabilities describes what an executor can do beyond the stage
-// contract every executor meets, so schedules select behavior without
-// executor-specific type switches scattered through the driver.
+// contract every executor meets, so the driver selects behavior without
+// executor-specific type switches.
 type Capabilities struct {
 	// DeltaBroadcast reports that the executor ships broadcast deltas to
 	// workers holding the previous value (the DeltaBroadcaster interface,

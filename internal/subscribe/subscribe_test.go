@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -475,7 +476,7 @@ func TestSlowSubscriberShedsToSnapshotResync(t *testing.T) {
 		Registry:       registry,
 		Algos:          testAlgos(t),
 		MaxLag:         2,
-		WriteTimeout:   time.Second,
+		WriteTimeout:   5 * time.Second,
 		HeartbeatEvery: -1,
 	})
 	if err != nil {
@@ -496,10 +497,14 @@ func TestSlowSubscriberShedsToSnapshotResync(t *testing.T) {
 	if err := wire.WriteFrame(cli, encodeHello(hello{})); err != nil {
 		t.Fatal(err)
 	}
-	readModel := func() modelFrame {
+	// readModel reads frames from r until a model frame arrives. Every
+	// read is bounded, so a frame the hub never sends fails the test
+	// instead of hanging it.
+	readModel := func(r io.Reader) modelFrame {
 		t.Helper()
 		for {
-			payload, err := wire.ReadFrame(cli, 0)
+			cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+			payload, err := wire.ReadFrame(r, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -514,18 +519,40 @@ func TestSlowSubscriberShedsToSnapshotResync(t *testing.T) {
 			return f
 		}
 	}
-	if f := readModel(); f.delta.FromVersion != 0 || f.version != 1 {
-		t.Fatalf("first frame %d→%d, want full snapshot of 1", f.delta.FromVersion, f.version)
-	}
 
-	// Publish a burst while the consumer refuses to read: the hub's next
-	// planning pass sees lag > MaxLag and sheds to a snapshot resync.
+	// Take the first byte of frame 1 and stop reading: the hub is now
+	// parked inside the write of that frame. Publish the burst 2..6 and
+	// let the encoder make all of it ready before releasing the frame, so
+	// the hub's next planning pass sees the whole lag (5 > MaxLag) at
+	// once and sheds to a snapshot resync.
+	cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var first [1]byte
+	if _, err := io.ReadFull(cli, first[:]); err != nil {
+		t.Fatal(err)
+	}
 	for v := 2; v <= 6; v++ {
 		hub.Publish(versionPublished(v))
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		hub.mu.Lock()
+		encoded := hub.encodedThrough
+		hub.mu.Unlock()
+		if encoded >= 6 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("encoder stuck at version %d, want 6", encoded)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if f := readModel(io.MultiReader(bytes.NewReader(first[:]), cli)); f.delta.FromVersion != 0 || f.version != 1 {
+		t.Fatalf("first frame %d→%d, want full snapshot of 1", f.delta.FromVersion, f.version)
+	}
+
 	sawResync := false
 	for i := 0; i < 6 && !sawResync; i++ {
-		f := readModel()
+		f := readModel(cli)
 		if f.delta.FromVersion == 0 && f.version == 6 {
 			sawResync = true
 		}

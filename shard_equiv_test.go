@@ -1,6 +1,6 @@
 // Shard-equivalence battery: with GlobalShards set, the sharded global
 // update must produce byte-identical final model state to the serial
-// path — across algorithms, schedules and executors — and algorithms
+// path — across algorithms, batch drivers and executors — and algorithms
 // without the ShardedGlobalUpdater capability must transparently fall
 // back to the serial path. This is the acceptance test for the sharded
 // order-aware global update (make shard-smoke runs it under -race).
@@ -21,16 +21,14 @@ type shardEquivRun struct {
 	state []byte // gob-encoded driver model: byte equality = bit identity
 }
 
-// runShardEquiv runs the figure workload with the given shard count (0 =
-// serial) and captures the final model's serialized state.
-func runShardEquiv(t *testing.T, algoName, executor string, kind diststream.ScheduleKind, shards int) shardEquivRun {
+// runShardEquiv runs the figure workload under the given batch driver
+// (see batchDrivers) with the given shard count (0 = serial) and captures
+// the final model's serialized state.
+func runShardEquiv(t *testing.T, algoName, executor, driver string, shards int) shardEquivRun {
 	t.Helper()
 	diststream.RegisterWireTypes()
 	opts := diststream.Options{
-		Execution: diststream.ExecutionOptions{
-			Schedule:     kind,
-			GlobalShards: shards,
-		},
+		Execution: diststream.ExecutionOptions{GlobalShards: shards},
 	}
 	switch executor {
 	case "local":
@@ -53,10 +51,7 @@ func runShardEquiv(t *testing.T, algoName, executor string, kind diststream.Sche
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := pl.RunContext(context.Background(), stream.NewSliceSource(deltaBlobStream(1200, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := driveBatches(t, pl, driver, 1, deltaBlobStream(1200, 4))
 	state, err := pl.Model().EncodeState()
 	if err != nil {
 		t.Fatal(err)
@@ -65,16 +60,16 @@ func runShardEquiv(t *testing.T, algoName, executor string, kind diststream.Sche
 }
 
 // TestShardedGlobalEquivalenceBitIdentical is the acceptance matrix:
-// {CluStream, DenStream} x {BSP, pipelined} x {local, TCP} — the sharded
+// {CluStream, DenStream} x {bsp, pipelined} x {local, TCP} — the sharded
 // global update's final model must be byte-equal to the serial path's,
 // with the same run shape, and the sharded path must actually engage.
 func TestShardedGlobalEquivalenceBitIdentical(t *testing.T) {
 	for _, algoName := range []string{"clustream", "denstream"} {
-		for _, schedule := range []diststream.ScheduleKind{diststream.ScheduleBSP, diststream.SchedulePipelined} {
+		for _, driver := range batchDrivers {
 			for _, executor := range []string{"local", "tcp"} {
-				t.Run(algoName+"/"+string(schedule)+"/"+executor, func(t *testing.T) {
-					serial := runShardEquiv(t, algoName, executor, schedule, 0)
-					sharded := runShardEquiv(t, algoName, executor, schedule, 4)
+				t.Run(algoName+"/"+driver+"/"+executor, func(t *testing.T) {
+					serial := runShardEquiv(t, algoName, executor, driver, 0)
+					sharded := runShardEquiv(t, algoName, executor, driver, 4)
 					if !bytes.Equal(sharded.state, serial.state) {
 						t.Errorf("model state diverged: sharded %d bytes, serial %d bytes",
 							len(sharded.state), len(serial.state))
