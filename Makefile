@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-json fuzz-smoke serve-smoke shard-smoke chaos-smoke subscribe-smoke
+.PHONY: build test race vet fmt check bench bench-json fuzz-smoke serve-smoke shard-smoke chaos-smoke subscribe-smoke
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# check is the pre-merge gate: static analysis plus the full suite under
-# the race detector.
-check: vet race
+# fmt fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+
+# check is the pre-merge gate: formatting, static analysis, and the full
+# suite under the race detector.
+check: fmt vet race
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ ./...
@@ -80,9 +85,10 @@ serve-smoke:
 	bash scripts/serve_smoke.sh
 
 # fuzz-smoke runs each codec fuzzer briefly: corrupted checkpoint
-# snapshots, model blobs and wire frames must error, never panic — and
-# the wire fuzzer additionally holds the columnar codec differentially
-# equal to a gob round trip. The vector fuzzer is differential rather
+# snapshots, model blobs, wire frames, model frames (decoded, then
+# applied against an empty and a real base) and DSUB hello/model frames
+# must error, never panic — and the wire fuzzer additionally holds the
+# columnar codec differentially equal to a gob round trip. The vector fuzzer is differential rather
 # than codec-shaped: the blocked many-vs-many argmin kernel must agree
 # bit-for-bit with the scalar one-vs-many reference on random matrices
 # (NaN/Inf coordinates included).
@@ -92,4 +98,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzModelStateCodec$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzModelFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDSUBFrames$$' -fuzztime $(FUZZTIME) ./internal/subscribe
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchNearest$$' -fuzztime $(FUZZTIME) ./internal/vector

@@ -1,8 +1,8 @@
-// Benchmarks for the delta broadcast + columnar wire codec PR: broadcast
-// bytes per batch (full snapshot vs delta) and end-to-end pipeline
-// throughput over TCP on the figure workload. The bytes/batch metrics are
-// the DESIGN.md before/after numbers; `make bench-json` archives them in
-// BENCH_5.json.
+// Benchmarks for the model broadcast: bytes per batch and driver time
+// for a full model (the columnar delta from the empty model, encoded once
+// per version and rebuilt on every worker) against a delta, and
+// end-to-end pipeline throughput over TCP on the figure workload, with
+// and without deltas.
 package diststream_test
 
 import (
@@ -71,7 +71,7 @@ func benchTCPBroadcast(b *testing.B, delta bool) {
 
 	algo := clustream.New(clustream.Config{Dim: 34, MaxMicroClusters: 512, NumMacro: 4, NewRadius: 2})
 	listA, listB := benchCluStreamLists(512, 34, 16)
-	snapA, snapB := algo.NewSnapshot(listA), algo.NewSnapshot(listB)
+	modelA, modelB := core.NewModelBroadcast(algo, 1, listA), core.NewModelBroadcast(algo, 2, listB)
 	dAB, ok := algo.DiffState(listA, listB)
 	if !ok {
 		b.Fatal("diff A->B declined")
@@ -81,18 +81,18 @@ func benchTCPBroadcast(b *testing.B, delta bool) {
 		b.Fatal("diff B->A declined")
 	}
 	ctx := context.Background()
-	// Warm-up: the first broadcast is always a full snapshot.
-	if err := exec.Broadcast(ctx, core.BroadcastModel, snapA); err != nil {
+	// Warm-up: the first broadcast is always the full model.
+	if err := exec.Broadcast(ctx, core.BroadcastModel, modelA); err != nil {
 		b.Fatal(err)
 	}
 	before := exec.BroadcastStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var snap, d mbsp.Item = snapB, dAB
+		var model, d mbsp.Item = modelB, dAB
 		if i%2 == 1 {
-			snap, d = snapA, dBA
+			model, d = modelA, dBA
 		}
-		if err := exec.BroadcastDelta(ctx, core.BroadcastModel, snap, d); err != nil {
+		if err := exec.BroadcastDelta(ctx, core.BroadcastModel, model, d); err != nil {
 			b.Fatal(err)
 		}
 	}

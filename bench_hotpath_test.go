@@ -59,7 +59,7 @@ func assignBenchEnv(b *testing.B, dim, numMC, records, p int, gen func(rng *rand
 	snap := algo.NewSnapshot(mcs)
 
 	ctx := context.Background()
-	if err := exec.Broadcast(ctx, core.BroadcastModel, snap); err != nil {
+	if err := exec.Broadcast(ctx, core.BroadcastModel, &core.ModelBroadcast{Search: snap}); err != nil {
 		b.Fatal(err)
 	}
 	cfg := core.TaskConfig{
@@ -183,7 +183,7 @@ func BenchmarkAssignOpDimSweep(b *testing.B) {
 		}{{"batched", snap}, {"scalar", scalarSnapshot{snap}}} {
 			b.Run(fmt.Sprintf("d%d/%s", dim, mode.name), func(b *testing.B) {
 				ctx := context.Background()
-				if err := exec.Broadcast(ctx, core.BroadcastModel, mode.snap); err != nil {
+				if err := exec.Broadcast(ctx, core.BroadcastModel, &core.ModelBroadcast{Search: mode.snap}); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()

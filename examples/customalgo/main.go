@@ -209,7 +209,9 @@ func run() error {
 
 	// Register the factory: pipeline tasks reconstruct the algorithm from
 	// its serialized Params, whether they run in-process or on remote
-	// workers. (For TCP workers you would also register the gob types.)
+	// workers. (For TCP workers you would also gob-register the
+	// micro-cluster type: models cross the wire as micro-clusters, and
+	// each worker rebuilds the snapshot with NewSnapshot.)
 	err = sys.RegisterAlgorithm("countsketch", func(p core.Params) (diststream.Algorithm, error) {
 		return &countSketch{
 			radius: p.Float("radius", 2),

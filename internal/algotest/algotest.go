@@ -278,20 +278,21 @@ func gobRoundTrip(t *testing.T, s Suite) {
 	}
 	snap := algo.NewSnapshot(mcs)
 
-	// Snapshot through gob as an interface value (what broadcast does).
+	// The model through gob as the delta from the empty model (what a
+	// model frame carries without a columnar codec), rebuilt on arrival.
 	var buf bytes.Buffer
-	type envelope struct{ V any }
-	if err := gob.NewEncoder(&buf).Encode(envelope{V: snap}); err != nil {
-		t.Fatalf("encode snapshot: %v", err)
+	if err := gob.NewEncoder(&buf).Encode(core.FullDelta(algo.Params(), 1, mcs)); err != nil {
+		t.Fatalf("encode model: %v", err)
 	}
-	var env envelope
-	if err := gob.NewDecoder(&buf).Decode(&env); err != nil {
-		t.Fatalf("decode snapshot: %v", err)
+	var d core.SnapshotDelta
+	if err := gob.NewDecoder(&buf).Decode(&d); err != nil {
+		t.Fatalf("decode model: %v", err)
 	}
-	decoded, ok := env.V.(core.Snapshot)
-	if !ok {
-		t.Fatalf("decoded %T is not a Snapshot", env.V)
+	m, err := core.ApplySnapshotDelta(s.New(), nil, &d)
+	if err != nil {
+		t.Fatalf("apply model: %v", err)
 	}
+	decoded := m.Search
 	if decoded.Len() != snap.Len() {
 		t.Errorf("decoded Len = %d, want %d", decoded.Len(), snap.Len())
 	}
@@ -304,6 +305,7 @@ func gobRoundTrip(t *testing.T, s Suite) {
 	}
 	// Micro-cluster through gob inside an Update (what the shuffle does).
 	buf.Reset()
+	type envelope struct{ V any }
 	upd := core.Update{Kind: core.KindUpdated, MC: mcs[0], Absorbed: 1, OrderTime: 1}
 	if err := gob.NewEncoder(&buf).Encode(envelope{V: upd}); err != nil {
 		t.Fatalf("encode update: %v", err)

@@ -13,9 +13,6 @@ import (
 // bit-identical across batches (no global decay), so steady-state deltas
 // carry only the handful of clusters the batch actually absorbed into.
 
-// ListMCs implements core.MCLister for the worker-side delta apply.
-func (s *Snapshot) ListMCs() []core.MicroCluster { return s.MCs }
-
 // DiffState implements core.SnapshotDiffer.
 func (a *Algorithm) DiffState(old, new []core.MicroCluster) (*core.SnapshotDelta, bool) {
 	d, ok := core.DiffMCLists(old, new, mcEqual)

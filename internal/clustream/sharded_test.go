@@ -186,7 +186,7 @@ func TestShardedBudgetMergeChain(t *testing.T) {
 	var updates []core.Update
 	for i := 0; i < 10; i++ {
 		updates = append(updates, core.Update{
-			Kind: core.KindCreated, MC: randMC(r, dim, now - 0.5),
+			Kind: core.KindCreated, MC: randMC(r, dim, now-0.5),
 			OrderTime: vclock.Time(now), OrderSeq: uint64(i),
 		})
 	}

@@ -231,9 +231,7 @@ func Register(reg *core.AlgorithmRegistry) error {
 // RegisterWireTypes registers gob payload types.
 func RegisterWireTypes() {
 	gob.Register(&MC{})
-	gob.Register(&Snapshot{})
 	wire.RegisterMCCodec(Name, &MC{}, encMC, decMC)
-	gob.Register(&Node{})
 }
 
 // Name implements core.Algorithm.

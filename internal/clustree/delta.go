@@ -14,9 +14,6 @@ import (
 // leaves the batch absorbed into; the worker rebuilds the tree from the
 // patched list via the same NewSnapshot the driver uses.
 
-// ListMCs implements core.MCLister for the worker-side delta apply.
-func (s *Snapshot) ListMCs() []core.MicroCluster { return s.MCs }
-
 // DiffState implements core.SnapshotDiffer.
 func (a *Algorithm) DiffState(old, new []core.MicroCluster) (*core.SnapshotDelta, bool) {
 	d, ok := core.DiffMCLists(old, new, mcEqual)

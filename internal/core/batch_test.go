@@ -71,7 +71,7 @@ type scalarSnapshot struct{ Snapshot }
 
 func assignCtx(snap Snapshot, groups uint64) *mbsp.TaskContext {
 	return mbsp.NewTaskContext(OpAssign, 0, 0, mapBroadcasts{
-		BroadcastModel:  snap,
+		BroadcastModel:  &ModelBroadcast{Search: snap},
 		BroadcastConfig: TaskConfig{OutlierGroups: groups},
 	})
 }

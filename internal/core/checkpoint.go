@@ -63,8 +63,8 @@ func (c *CheckpointConfig) withDefaults() (CheckpointConfig, error) {
 
 // modelState is the gob envelope for a Model. Micro-clusters travel as
 // interface values, so their concrete types must be gob-registered (the
-// algorithm RegisterWireTypes functions do this — the same machinery
-// that ships snapshots to TCP workers).
+// algorithm RegisterWireTypes functions do this; the same registrations
+// carry gob-fallback task outputs and model frames).
 type modelState struct {
 	MCs  []MicroCluster
 	Next uint64

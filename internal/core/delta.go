@@ -9,21 +9,23 @@ import (
 	"diststream/internal/mbsp"
 )
 
-// This file implements delta model broadcast: instead of shipping the
-// whole frozen snapshot to every worker every batch, the driver ships
-// only the micro-clusters created, updated or removed since the previous
-// broadcast, and the worker rebuilds the next snapshot from its current
-// one. Correctness rests on three pillars:
+// This file implements the one form in which a model version crosses a
+// socket: a SnapshotDelta. Workers and subscribers that hold the
+// previous version get only the micro-clusters created, updated or
+// removed since it; everyone else gets the delta from the empty model
+// (FullDelta), which carries every micro-cluster. Either way the
+// receiver rebuilds the search snapshot itself (ApplySnapshotDelta).
+// Correctness rests on three pillars:
 //
 //   - the diff is computed against the exact clone list last broadcast,
 //     with per-algorithm bit-exact equality, so an unchanged micro-cluster
-//     on the worker is identical to the driver's copy;
-//   - the worker rebuilds the snapshot through the same NewSnapshot the
-//     driver uses, so the worker-visible snapshot is bit-identical to a
-//     full broadcast;
+//     on the receiver is identical to the driver's copy;
+//   - the receiver rebuilds the snapshot through the same NewSnapshot the
+//     driver uses, so the receiver-visible snapshot is bit-identical to
+//     the driver's;
 //   - a checksum over the resulting micro-cluster set catches any base
 //     mismatch, and every failure (missing base, unknown algorithm,
-//     checksum mismatch) makes the executor resend the full snapshot.
+//     checksum mismatch) makes the executor resend the full model.
 
 // SnapshotDiffer is an optional Algorithm capability: producing and
 // applying snapshot deltas for the delta broadcast path. All shipped
@@ -40,26 +42,38 @@ type SnapshotDiffer interface {
 	ApplyDelta(old []MicroCluster, d *SnapshotDelta) ([]MicroCluster, error)
 }
 
-// MCLister is implemented by algorithm snapshots that expose their
-// admission-ordered micro-cluster list; the worker-side delta apply needs
-// it to recover the base list from the stored snapshot. All shipped
-// snapshots implement it.
-type MCLister interface {
-	ListMCs() []MicroCluster
+// ModelBroadcast is the per-batch value published under BroadcastModel:
+// the frozen search snapshot tasks read, next to the exact clone list and
+// Params it was built from. Only MCs and Params ever cross a socket (as
+// FullDelta, or as a diff against the previous version); the receiver
+// rebuilds Search with ApplySnapshotDelta.
+type ModelBroadcast struct {
+	Params Params
+	// Version is the pipeline's broadcast sequence number.
+	Version uint64
+	// MCs is the admission-ordered clone list Search was built from; the
+	// base the next delta applies to. Immutable once published.
+	MCs    []MicroCluster
+	Search Snapshot
+}
+
+// NewModelBroadcast builds version's broadcast value from a clone list.
+func NewModelBroadcast(algo Algorithm, version uint64, mcs []MicroCluster) *ModelBroadcast {
+	return &ModelBroadcast{Params: algo.Params(), Version: version, MCs: mcs, Search: algo.NewSnapshot(mcs)}
 }
 
 // SnapshotDelta is the difference between two consecutively broadcast
-// model snapshots. It implements mbsp.BroadcastDelta: applied to the
-// worker's current snapshot it yields the next one, rebuilt through the
-// algorithm's own NewSnapshot so the result is bit-identical to a full
-// broadcast.
+// model versions. It implements mbsp.BroadcastDelta: applied to the
+// receiver's current *ModelBroadcast (or to none) it yields the next
+// one, rebuilt through the algorithm's own NewSnapshot so the result is
+// bit-identical to the driver's.
 type SnapshotDelta struct {
 	// Params reconstructs the algorithm on the worker (the apply needs
 	// NewSnapshot), independent of the config broadcast.
 	Params Params
-	// FromVersion and Version are the pipeline's broadcast sequence
-	// numbers this delta spans, for observability; the executor tracks
-	// its own per-worker versions.
+	// FromVersion and Version are the broadcast sequence numbers this
+	// delta spans. FromVersion 0 marks the delta from the empty model
+	// (FullDelta); executors track their own per-worker versions.
 	FromVersion, Version uint64
 	// Order lists the new snapshot's micro-cluster ids in admission
 	// order; it fully determines membership.
@@ -72,11 +86,28 @@ type SnapshotDelta struct {
 	Upserts []MicroCluster
 	// Checksum is ChecksumMCs over the new snapshot's full list; a
 	// mismatch after apply means the base was not what the driver
-	// assumed, and the executor falls back to the full snapshot.
+	// assumed, and the executor falls back to the full model.
 	Checksum uint64
 }
 
 var _ mbsp.BroadcastDelta = (*SnapshotDelta)(nil)
+
+// FullDelta builds the delta from the empty model to mcs: every
+// micro-cluster is an upsert, so it applies against any base, and its
+// checksum guards the result like any other delta's.
+func FullDelta(p Params, version uint64, mcs []MicroCluster) *SnapshotDelta {
+	d := &SnapshotDelta{
+		Params:   p,
+		Version:  version,
+		Order:    make([]uint64, len(mcs)),
+		Upserts:  mcs,
+		Checksum: ChecksumMCs(mcs),
+	}
+	for i, mc := range mcs {
+		d.Order[i] = mc.ID()
+	}
+	return d
+}
 
 // deltaAlgos is the algorithm registry delta application resolves
 // factories against. RegisterOps stores the registry here, which both the
@@ -84,13 +115,18 @@ var _ mbsp.BroadcastDelta = (*SnapshotDelta)(nil)
 // the shipped algorithms, so last-wins is benign.
 var deltaAlgos atomic.Pointer[AlgorithmRegistry]
 
-// ApplyDelta implements mbsp.BroadcastDelta: it rebuilds the next
-// snapshot from the worker's current one. Any failure is a signal for the
-// executor to resend the full snapshot, never a correctness hazard.
+// ApplyDelta implements mbsp.BroadcastDelta: it rebuilds the next model
+// version from the worker's current one (nil when it holds none). Any
+// failure is a signal for the executor to resend the full model, never
+// a correctness hazard.
 func (d *SnapshotDelta) ApplyDelta(old mbsp.Item) (mbsp.Item, error) {
-	lister, ok := old.(MCLister)
-	if !ok {
-		return nil, fmt.Errorf("core: delta base is %T, which exposes no micro-cluster list", old)
+	var base []MicroCluster
+	if old != nil {
+		cur, ok := old.(*ModelBroadcast)
+		if !ok {
+			return nil, fmt.Errorf("core: delta base is %T, want *ModelBroadcast", old)
+		}
+		base = cur.MCs
 	}
 	algos := deltaAlgos.Load()
 	if algos == nil {
@@ -100,16 +136,31 @@ func (d *SnapshotDelta) ApplyDelta(old mbsp.Item) (mbsp.Item, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ApplySnapshotDelta(algo, base, d)
+}
+
+// ApplySnapshotDelta applies d to base through the algorithm's own
+// ApplyDelta (ApplyMCDelta for algorithms without SnapshotDiffer) and
+// rebuilds the search snapshot with its NewSnapshot. The TCP worker and
+// the subscription replica both install models through it. d comes off
+// a socket, so a micro-cluster the algorithm cannot digest (say, mixed
+// dimensionalities) is an error, not a panic.
+func ApplySnapshotDelta(algo Algorithm, base []MicroCluster, d *SnapshotDelta) (m *ModelBroadcast, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m, err = nil, fmt.Errorf("core: apply model v%d: %v", d.Version, r)
+		}
+	}()
 	var mcs []MicroCluster
 	if differ, ok := algo.(SnapshotDiffer); ok {
-		mcs, err = differ.ApplyDelta(lister.ListMCs(), d)
+		mcs, err = differ.ApplyDelta(base, d)
 	} else {
-		mcs, err = ApplyMCDelta(lister.ListMCs(), d)
+		mcs, err = ApplyMCDelta(base, d)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return algo.NewSnapshot(mcs), nil
+	return &ModelBroadcast{Params: d.Params, Version: d.Version, MCs: mcs, Search: algo.NewSnapshot(mcs)}, nil
 }
 
 // DiffMCLists computes the generic part of a snapshot delta: which

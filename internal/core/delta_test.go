@@ -4,12 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"diststream/internal/mbsp"
 	"diststream/internal/vector"
 )
-
-// ListMCs makes the toy snapshot a delta base (core.MCLister), mirroring
-// what every shipped algorithm snapshot does.
-func (s *toySnapshot) ListMCs() []MicroCluster { return s.mcs }
 
 func toyEqual(a, b MicroCluster) bool {
 	x, ok := a.(*toyMC)
@@ -138,20 +135,37 @@ func TestSnapshotDeltaApplyRebuildsSnapshot(t *testing.T) {
 	}
 	d.Params = algo.Params()
 
-	applied, err := d.ApplyDelta(algo.NewSnapshot(old))
+	applied, err := d.ApplyDelta(NewModelBroadcast(algo, 1, old))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := applied.(*toySnapshot)
+	m, ok := applied.(*ModelBroadcast)
 	if !ok {
-		t.Fatalf("applied value is %T, want *toySnapshot", applied)
+		t.Fatalf("applied value is %T, want *ModelBroadcast", applied)
 	}
-	if len(snap.mcs) != 3 {
-		t.Fatalf("rebuilt snapshot holds %d micro-clusters, want 3", len(snap.mcs))
+	snap, ok := m.Search.(*toySnapshot)
+	if !ok {
+		t.Fatalf("rebuilt search snapshot is %T, want *toySnapshot", m.Search)
+	}
+	if len(snap.mcs) != 3 || len(m.MCs) != 3 {
+		t.Fatalf("rebuilt model holds %d/%d micro-clusters, want 3", len(snap.mcs), len(m.MCs))
 	}
 	for i := range next {
-		if !toyEqual(snap.mcs[i], next[i]) {
+		if !toyEqual(snap.mcs[i], next[i]) || m.MCs[i] != snap.mcs[i] {
 			t.Errorf("rebuilt[%d] = %+v, want %+v", i, snap.mcs[i], next[i])
+		}
+	}
+
+	// The delta from the empty model applies onto no base at all, and
+	// onto any base, to the same list.
+	full := FullDelta(algo.Params(), 2, next)
+	for _, base := range []mbsp.Item{nil, NewModelBroadcast(algo, 1, old)} {
+		applied, err := full.ApplyDelta(base)
+		if err != nil {
+			t.Fatalf("full delta onto %T: %v", base, err)
+		}
+		if got := applied.(*ModelBroadcast).MCs; ChecksumMCs(got) != ChecksumMCs(next) {
+			t.Errorf("full delta onto %T rebuilt a different list", base)
 		}
 	}
 

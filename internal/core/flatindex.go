@@ -20,9 +20,6 @@ import (
 // is a radius around the center (CluStream's RadiusFactor·RMS,
 // clustree's per-MC boundary); algorithms with a global threshold
 // (denstream's ε, simple's radius) leave it nil.
-//
-// Fields are exported so the index travels inside gob-encoded broadcast
-// snapshots.
 type FlatIndex struct {
 	Centers    vector.Matrix
 	Norms      []float64

@@ -13,7 +13,7 @@ import (
 // Broadcast ids and op names used by the pipeline. They are fixed so that
 // remote workers, which register the same ops, resolve identically.
 const (
-	// BroadcastModel carries the frozen model snapshot for the batch.
+	// BroadcastModel carries the batch's *ModelBroadcast.
 	BroadcastModel = "diststream.model"
 	// BroadcastConfig carries the TaskConfig.
 	BroadcastConfig = "diststream.config"
@@ -43,14 +43,11 @@ type TaskConfig struct {
 
 // RegisterWireTypes registers the core types that cross executor
 // boundaries with gob. Algorithm packages register their own
-// micro-cluster and snapshot types.
+// micro-cluster types.
 func RegisterWireTypes() {
 	gob.Register(TaskConfig{})
 	gob.Register(Update{})
 	gob.Register(Params{})
-	// Snapshot deltas normally travel columnar; gob covers the fallback
-	// (algorithms without a registered wire codec).
-	gob.Register(&SnapshotDelta{})
 }
 
 // RegisterOps installs the two pipeline operations into an mbsp registry,
@@ -60,8 +57,8 @@ func RegisterOps(reg *mbsp.Registry, algos *AlgorithmRegistry) error {
 	if reg == nil || algos == nil {
 		return fmt.Errorf("core: RegisterOps requires registries")
 	}
-	// Snapshot deltas arriving at a worker resolve their algorithm
-	// against the same registry the ops use.
+	// Model frames arriving at a worker resolve their algorithm against
+	// the same registry the ops use.
 	deltaAlgos.Store(algos)
 	if err := reg.Register(OpAssign, makeAssignOp()); err != nil {
 		return err
@@ -75,9 +72,9 @@ func taskEnv(ctx *mbsp.TaskContext) (Snapshot, TaskConfig, error) {
 	if err != nil {
 		return nil, TaskConfig{}, err
 	}
-	snap, ok := sv.(Snapshot)
+	model, ok := sv.(*ModelBroadcast)
 	if !ok {
-		return nil, TaskConfig{}, fmt.Errorf("core: model broadcast is %T, want Snapshot", sv)
+		return nil, TaskConfig{}, fmt.Errorf("core: model broadcast is %T, want *ModelBroadcast", sv)
 	}
 	cv, err := ctx.Broadcast(BroadcastConfig)
 	if err != nil {
@@ -90,7 +87,7 @@ func taskEnv(ctx *mbsp.TaskContext) (Snapshot, TaskConfig, error) {
 	if cfg.OutlierGroups == 0 {
 		cfg.OutlierGroups = 1
 	}
-	return snap, cfg, nil
+	return model.Search, cfg, nil
 }
 
 // makeAssignOp builds the assign stage: for each record of the task's

@@ -698,17 +698,17 @@ func (p *Pipeline) runInit() error {
 	return nil
 }
 
-// buildJob freezes the model snapshot (plus a delta against the last
-// successful broadcast, on engines with the capability), partitions the
-// batch's records and packages everything into the stages' job. It also
-// returns the clone list to install as lastBroadcast once the broadcast
-// succeeds. The full snapshot remains the fallback
-// for fresh workers, reconnects and algorithms whose every micro-cluster
-// changes per batch.
+// buildJob freezes the model broadcast value (plus a delta against the
+// last successful broadcast, on engines with the capability), partitions
+// the batch's records and packages everything into the stages' job. It
+// also returns the clone list to install as lastBroadcast once the
+// broadcast succeeds. The full model remains the fallback for fresh
+// workers, reconnects and algorithms whose every micro-cluster changes
+// per batch.
 func (p *Pipeline) buildJob(records []stream.Record) (*stageJob, []MicroCluster, error) {
 	list := p.model.CloneList()
-	snap := p.cfg.Algorithm.NewSnapshot(list)
 	p.modelVersion++
+	model := NewModelBroadcast(p.cfg.Algorithm, p.modelVersion, list)
 	var delta mbsp.Item
 	if differ, ok := p.cfg.Algorithm.(SnapshotDiffer); ok &&
 		p.lastBroadcast != nil && p.cfg.Engine.Capabilities().DeltaBroadcast {
@@ -726,7 +726,7 @@ func (p *Pipeline) buildJob(records []stream.Record) (*stageJob, []MicroCluster,
 	if err != nil {
 		return nil, nil, err
 	}
-	job := &stageJob{model: snap, modelDelta: delta, inputs: parts}
+	job := &stageJob{model: model, modelDelta: delta, inputs: parts}
 	if !p.configSent {
 		job.config = TaskConfig{
 			Params:        p.cfg.Algorithm.Params(),

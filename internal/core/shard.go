@@ -410,9 +410,9 @@ func (p *ShardPlan) Fold(model *Model, frags []*ShardFragment) error {
 // implementation spends into the parallel apply phase and the serialized
 // fold/residue phase (feeding RunStats.GlobalApply/GlobalFold).
 type ShardedRun struct {
-	shards   int
-	pool     *ReducerPool
-	planner  *ShardPlanner
+	shards    int
+	pool      *ReducerPool
+	planner   *ShardPlanner
 	applyWall time.Duration
 	foldWall  time.Duration
 }

@@ -11,9 +11,10 @@ import (
 
 // stageJob is everything one batch's parallel stages need.
 type stageJob struct {
-	// model is the per-batch snapshot broadcast under BroadcastModel.
-	// modelDelta, when non-nil, is offered to workers holding the previous
-	// version; the full model is the universal fallback.
+	// model is the per-batch *ModelBroadcast published under
+	// BroadcastModel. modelDelta, when non-nil, is offered to workers
+	// holding the previous version; the full model is the universal
+	// fallback.
 	model, modelDelta mbsp.Item
 	// config is the once-per-run task config broadcast under
 	// BroadcastConfig; nil once it has been delivered.

@@ -16,9 +16,6 @@ import (
 // it keeps the delta-on configuration bit-identical to delta-off for
 // every algorithm, not just the ones that profit.
 
-// ListMCs implements core.MCLister for the worker-side delta apply.
-func (s *Snapshot) ListMCs() []core.MicroCluster { return s.MCs }
-
 // DiffState implements core.SnapshotDiffer.
 func (a *Algorithm) DiffState(old, new []core.MicroCluster) (*core.SnapshotDelta, bool) {
 	d, ok := core.DiffMCLists(old, new, mcEqual)

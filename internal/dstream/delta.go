@@ -15,9 +15,6 @@ import (
 // streams and full snapshots keep flowing; the capability exists for
 // uniformity and the idle corner.
 
-// ListMCs implements core.MCLister for the worker-side delta apply.
-func (s *Snapshot) ListMCs() []core.MicroCluster { return s.MCs }
-
 // DiffState implements core.SnapshotDiffer.
 func (a *Algorithm) DiffState(old, new []core.MicroCluster) (*core.SnapshotDelta, bool) {
 	d, ok := core.DiffMCLists(old, new, mcEqual)

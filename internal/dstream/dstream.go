@@ -181,7 +181,6 @@ func Register(reg *core.AlgorithmRegistry) error {
 // RegisterWireTypes registers gob payload types.
 func RegisterWireTypes() {
 	gob.Register(&MC{})
-	gob.Register(&Snapshot{})
 	wire.RegisterMCCodec(Name, &MC{}, encMC, decMC)
 }
 

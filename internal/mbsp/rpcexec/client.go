@@ -153,7 +153,7 @@ type Executor struct {
 	// bmu guards the driver-side broadcast cache replayed on reconnect.
 	bmu    sync.Mutex
 	border []string
-	bcast  map[string]bcastEntry
+	bcast  map[string]*bcastEntry
 
 	// Broadcast-path counters (see BroadcastStats).
 	bFulls  atomic.Int64
@@ -164,11 +164,43 @@ type Executor struct {
 var _ mbsp.Executor = (*Executor)(nil)
 var _ mbsp.DeltaBroadcaster = (*Executor)(nil)
 
-// bcastEntry is one cached broadcast: the latest full value and its
-// driver-side version (1 on first publication, +1 per republication).
+// encodeValue is the broadcast value encoder (a variable so tests can
+// count encodes).
+var encodeValue = wire.EncodeValue
+
+// bcastEntry is one cached broadcast: the latest full value, its
+// driver-side version (1 on first publication, +1 per republication) and
+// its full frame. The frame is encoded on first use and shared by every
+// worker that needs the full value — fresh, redialed, lagging or
+// delta-rejecting — so a version is encoded at most once, and not at all
+// when every worker takes the delta.
 type bcastEntry struct {
+	id      string
 	value   mbsp.Item
 	version uint64
+
+	once sync.Once
+	req  request
+	err  error
+}
+
+// fullRequest returns the entry's full broadcast frame.
+func (b *bcastEntry) fullRequest() (request, error) {
+	b.once.Do(func() { b.req, b.err = broadcastRequest(b.id, b.version, b.value) })
+	return b.req, b.err
+}
+
+// broadcastRequest builds a broadcast frame: a wire model frame for model
+// values, the gob-typed value otherwise.
+func broadcastRequest(id string, version uint64, v mbsp.Item) (request, error) {
+	req := request{Kind: kindBroadcast, BroadcastID: id, BroadcastVersion: version}
+	cols, ok, err := encodeValue(v)
+	if ok {
+		req.BroadcastCols = cols
+	} else {
+		req.BroadcastValue = v
+	}
+	return req, err
 }
 
 // workerConn is one driver→worker connection with lockstep framing and
@@ -403,7 +435,7 @@ func DialConfig(addrs []string, cfg Config) (*Executor, error) {
 	e := &Executor{
 		cfg:     cfg,
 		conns:   make([]*workerConn, 0, len(addrs)),
-		bcast:   make(map[string]bcastEntry),
+		bcast:   make(map[string]*bcastEntry),
 		counted: make(map[string]bool),
 	}
 	for _, addr := range addrs {
@@ -459,15 +491,18 @@ func (e *Executor) allWorkersLost(stage string, stranded int) error {
 // connection's ack map so delta shipping can resume immediately.
 func (e *Executor) replayBroadcasts(c *frameCodec) (map[string]uint64, error) {
 	e.bmu.Lock()
-	reqs := make([]request, 0, len(e.border))
+	entries := make([]*bcastEntry, 0, len(e.border))
 	vers := make(map[string]uint64, len(e.border))
 	for _, id := range e.border {
-		entry := e.bcast[id]
-		reqs = append(reqs, request{Kind: kindBroadcast, BroadcastID: id, BroadcastValue: entry.value, BroadcastVersion: entry.version})
-		vers[id] = entry.version
+		entries = append(entries, e.bcast[id])
+		vers[id] = e.bcast[id].version
 	}
 	e.bmu.Unlock()
-	for _, req := range reqs {
+	for _, entry := range entries {
+		req, err := entry.fullRequest()
+		if err != nil {
+			return nil, err
+		}
 		if err := c.send(req); err != nil {
 			return nil, err
 		}
@@ -548,19 +583,18 @@ func (e *Executor) NetworkBytes() (sent, recvd int64) {
 }
 
 // broadcastFrames is one versioned publication of a broadcast value: the
-// full frame every worker can take, and the delta frame for workers known
-// to hold the previous version (nil when no delta applies).
+// cache entry with the full frame every worker can take, and the delta
+// frame for workers known to hold the previous version (nil when no
+// delta applies).
 type broadcastFrames struct {
-	id      string
-	version uint64
-	full    request
-	delta   *request
+	*bcastEntry
+	delta *request
 }
 
 // newBroadcast caches value driver-side under the next version of id —
 // redials replay it, and the version bump decides delta eligibility per
-// worker — and builds the frames that ship it. delta is dropped when
-// delta broadcast is disabled or id has no previous version.
+// worker — and builds the delta frame. delta is dropped when delta
+// broadcast is disabled or id has no previous version.
 func (e *Executor) newBroadcast(id string, value, delta mbsp.Item) (*broadcastFrames, error) {
 	if e.isClosed() {
 		return nil, mbsp.ErrClosed
@@ -569,25 +603,21 @@ func (e *Executor) newBroadcast(id string, value, delta mbsp.Item) (*broadcastFr
 		return nil, errors.New("rpcexec: empty broadcast id")
 	}
 	e.bmu.Lock()
-	prev, seen := e.bcast[id]
-	if !seen {
+	var version uint64 = 1
+	if prev, seen := e.bcast[id]; seen {
+		version = prev.version + 1
+	} else {
 		e.border = append(e.border, id)
 	}
-	version := prev.version + 1
-	e.bcast[id] = bcastEntry{value: value, version: version}
+	entry := &bcastEntry{id: id, value: value, version: version}
+	e.bcast[id] = entry
 	e.bmu.Unlock()
 
-	b := &broadcastFrames{
-		id:      id,
-		version: version,
-		full:    request{Kind: kindBroadcast, BroadcastID: id, BroadcastValue: value, BroadcastVersion: version},
-	}
+	b := &broadcastFrames{bcastEntry: entry}
 	if delta != nil && version > 1 && e.cfg.DeltaBroadcast {
-		rd := request{Kind: kindBroadcast, BroadcastID: id, BroadcastVersion: version, BroadcastDelta: true}
-		if cols, ok := wire.EncodeValue(delta); ok {
-			rd.BroadcastCols = cols
-		} else {
-			rd.BroadcastValue = delta
+		rd, err := broadcastRequest(id, version, delta)
+		if err != nil {
+			return nil, err
 		}
 		b.delta = &rd
 	}
@@ -665,9 +695,11 @@ func (e *Executor) broadcastToWorker(ctx context.Context, w *workerConn, b *broa
 	useDelta := b.delta != nil && w.acked[b.id] == b.version-1
 	var bytes int64
 	if w.conn != nil && (useDelta || task != nil) {
-		breq := b.full
+		var breq request
 		if useDelta {
 			breq = *b.delta
+		} else if breq, err = b.fullRequest(); err != nil {
+			return nil, false, err
 		}
 		bresp, resp, n, err := w.exchange(ctx, breq, task)
 		bytes += n
@@ -698,8 +730,12 @@ func (e *Executor) broadcastToWorker(ctx context.Context, w *workerConn, b *broa
 		// the worker's version is now unknown until the full lands.
 		delete(w.acked, b.id)
 	}
+	full, err := b.fullRequest()
+	if err != nil {
+		return nil, sentTask, err
+	}
 	sentBefore := w.sent.Load()
-	resp, _, err := w.callLocked(ctx, b.full)
+	resp, _, err := w.callLocked(ctx, full)
 	if err == nil && resp.Err != "" {
 		err = errors.New(resp.Err)
 	}

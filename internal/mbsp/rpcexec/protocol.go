@@ -32,23 +32,21 @@ const (
 )
 
 // request is the single driver→worker message frame. The envelope always
-// travels through gob; hot payloads (task partitions, snapshot deltas)
-// ride inside it as pre-encoded columnar frames (the *Cols fields), with
-// the gob-typed fields as the fallback for shapes the columnar codec
-// does not cover.
+// travels through gob; hot payloads (task partitions, model frames) ride
+// inside it pre-encoded (the *Cols fields), with the gob-typed fields as
+// the fallback for shapes the wire codec does not cover.
 type request struct {
 	Kind msgKind
 
 	// Broadcast fields. Exactly one of BroadcastValue and BroadcastCols
-	// carries the payload; BroadcastCols holds a wire.EncodeValue frame.
-	// BroadcastDelta marks the payload as an mbsp.BroadcastDelta to apply
-	// onto the worker's current value for the id; BroadcastVersion is the
-	// driver's version of the resulting value (observability only — the
-	// driver tracks per-worker versions itself).
+	// carries the payload; BroadcastCols holds a wire model frame (every
+	// model version, full or delta, travels as one). A payload that is an
+	// mbsp.BroadcastDelta applies onto the worker's current value for the
+	// id; BroadcastVersion is the driver's version of the resulting value
+	// (observability only — the driver tracks per-worker versions itself).
 	BroadcastID      string
 	BroadcastValue   mbsp.Item
 	BroadcastCols    []byte
-	BroadcastDelta   bool
 	BroadcastVersion uint64
 
 	// Task fields. Exactly one of Input and InputCols carries the
@@ -71,9 +69,9 @@ type response struct {
 }
 
 // RegisterType registers a concrete type with gob so it can travel inside
-// mbsp.Item fields. Every payload type crossing the wire (records, keyed
-// items, groups, micro-cluster snapshots) must be registered by both the
-// driver and the worker binary before use.
+// mbsp.Item fields. Every payload type crossing the wire through gob
+// (records, keyed items, groups, micro-clusters) must be registered by
+// both the driver and the worker binary before use.
 func RegisterType(v any) { gob.Register(v) }
 
 // registerBuiltins registers the engine's own envelope types plus the

@@ -233,28 +233,22 @@ func (w *Worker) serve(conn net.Conn) {
 	}
 }
 
-// applyBroadcast installs one broadcast value, decoding the columnar
-// payload and applying deltas onto the worker's current value. Failures
+// applyBroadcast installs one broadcast value, decoding a model frame
+// and applying any mbsp.BroadcastDelta — a model frame always is one —
+// onto the worker's current value for the id, or onto none. Failures
 // come back as response errors on a healthy connection: the driver
 // reacts to a rejected delta by resending the full value.
 func (w *Worker) applyBroadcast(req request) response {
 	value := req.BroadcastValue
 	if len(req.BroadcastCols) > 0 {
-		v, err := wire.DecodeValue(req.BroadcastCols)
+		d, err := wire.DecodeModel(req.BroadcastCols)
 		if err != nil {
 			return response{Err: err.Error()}
 		}
-		value = v
+		value = d
 	}
-	if req.BroadcastDelta {
-		delta, ok := value.(mbsp.BroadcastDelta)
-		if !ok {
-			return response{Err: fmt.Sprintf("rpcexec: broadcast delta for %q is %T, which cannot apply", req.BroadcastID, value)}
-		}
-		base, ok := w.broadcasts.Get(req.BroadcastID)
-		if !ok {
-			return response{Err: fmt.Sprintf("rpcexec: broadcast delta for %q without a base value", req.BroadcastID)}
-		}
+	if delta, ok := value.(mbsp.BroadcastDelta); ok {
+		base, _ := w.broadcasts.Get(req.BroadcastID)
 		applied, err := delta.ApplyDelta(base)
 		if err != nil {
 			return response{Err: err.Error()}

@@ -296,10 +296,11 @@ type Executor interface {
 
 // BroadcastDelta is implemented by broadcast values that are differences
 // against the value previously published under the same id. An executor
-// that ships deltas applies them against the receiver's current value;
-// ApplyDelta must not mutate old (other tasks may still read it) and must
-// fail — never guess — when old is not the base the delta was computed
-// from, so the sender can fall back to publishing the full value.
+// that ships deltas applies them against the receiver's current value,
+// or against nil when it holds none; ApplyDelta must not mutate old
+// (other tasks may still read it) and must fail — never guess — when old
+// is not the base the delta was computed from, so the sender can fall
+// back to publishing the full value.
 type BroadcastDelta interface {
 	ApplyDelta(old Item) (Item, error)
 }

@@ -14,13 +14,15 @@ import (
 	"diststream/internal/datagen"
 	"diststream/internal/harness"
 	"diststream/internal/stream"
+	"diststream/internal/timingtest"
 )
 
 // TestServeIngestImpactUnderLoad is the headline acceptance check for the
 // serving subsystem: with 64 concurrent query clients hammering a live
 // server, ingest throughput must stay within 10% of the server-off
-// baseline. Each configuration gets three attempts and the best one
-// counts, damping scheduler noise on small CI machines; the clients are
+// baseline. Baseline and loaded runs are measured in three interleaved
+// pairs and the median pair ratio counts (timingtest.MedianRatio), which
+// damps scheduler noise on small CI machines; the clients are
 // well-behaved (they honor Retry-After on shed responses), which is the
 // deployment the admission defaults are tuned for.
 func TestServeIngestImpactUnderLoad(t *testing.T) {
@@ -38,7 +40,7 @@ func TestServeIngestImpactUnderLoad(t *testing.T) {
 		records = 20000
 		passes  = 3
 		clients = 64
-		tries   = 3
+		pairs   = 3
 	)
 	ds, err := harness.LoadDataset(datagen.KDD99Sim, records, 1000, 42)
 	if err != nil {
@@ -146,21 +148,8 @@ func TestServeIngestImpactUnderLoad(t *testing.T) {
 		return stats.Throughput()
 	}
 
-	best := func(withServing bool) float64 {
-		var b float64
-		for i := 0; i < tries; i++ {
-			if tp := ingestOnce(withServing); tp > b {
-				b = tp
-			}
-		}
-		return b
-	}
-
-	baseline := best(false)
-	loaded := best(true)
-	ratio := loaded / baseline
-	t.Logf("ingest throughput: baseline %.0f rec/s, under %d-client load %.0f rec/s (ratio %.3f)",
-		baseline, clients, loaded, ratio)
+	ratio := timingtest.MedianRatio(t, pairs, ingestOnce)
+	t.Logf("ingest throughput under %d-client load: median ratio %.3f of baseline", clients, ratio)
 	if ratio < 0.90 {
 		t.Errorf("ingest throughput under load dropped to %.1f%% of baseline, want >= 90%%", ratio*100)
 	}

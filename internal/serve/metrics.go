@@ -19,9 +19,9 @@ var defaultBuckets = []float64{
 // Prometheus exposition format. Observations and rendering may race
 // benignly (Prometheus scrapes tolerate torn cumulative reads).
 type Histogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	sumBits atomic.Uint64  // float64 bits, CAS-accumulated
+	bounds  []float64
+	counts  []atomic.Uint64 // len(bounds)+1; last is +Inf
+	sumBits atomic.Uint64   // float64 bits, CAS-accumulated
 	count   atomic.Uint64
 }
 

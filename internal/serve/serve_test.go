@@ -473,9 +473,9 @@ func TestServerAssign(t *testing.T) {
 
 	// Bad requests.
 	for _, target := range []string{
-		"/v1/assign",                // missing point
-		"/v1/assign?point=a,b",      // unparsable
-		"/v1/assign?point=1",        // wrong dimensionality
+		"/v1/assign",                       // missing point
+		"/v1/assign?point=a,b",             // unparsable
+		"/v1/assign?point=1",               // wrong dimensionality
 		"/v1/assign?point=1,2&version=abc", // bad version
 	} {
 		if rec := doReq(t, h, "GET", target, nil); rec.Code != http.StatusBadRequest {
@@ -611,9 +611,9 @@ func TestServerMacroValidation(t *testing.T) {
 	reg.Publish(twoBlobPublished(1, 100))
 
 	for _, body := range []string{
-		`{"algorithm":"spectral"}`,          // unknown algorithm
-		`{"algorithm":"kmeans"}`,            // k missing
-		`{"algorithm":"dbscan","eps":1}`,    // minPoints missing
+		`{"algorithm":"spectral"}`,               // unknown algorithm
+		`{"algorithm":"kmeans"}`,                 // k missing
+		`{"algorithm":"dbscan","eps":1}`,         // minPoints missing
 		`{"algorithm":"kmeans","k":2,"bogus":1}`, // unknown field
 		`not json`,
 	} {

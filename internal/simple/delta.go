@@ -15,9 +15,6 @@ import (
 // ok=false on active streams and the executor keeps shipping full
 // snapshots; the capability exists for uniformity and the idle corner.
 
-// ListMCs implements core.MCLister for the worker-side delta apply.
-func (s *Snapshot) ListMCs() []core.MicroCluster { return s.MCs }
-
 // DiffState implements core.SnapshotDiffer.
 func (a *Algorithm) DiffState(old, new []core.MicroCluster) (*core.SnapshotDelta, bool) {
 	d, ok := core.DiffMCLists(old, new, mcEqual)

@@ -120,7 +120,6 @@ func Register(reg *core.AlgorithmRegistry) error {
 // RegisterWireTypes registers this algorithm's gob payloads.
 func RegisterWireTypes() {
 	gob.Register(&MC{})
-	gob.Register(&Snapshot{})
 	wire.RegisterMCCodec(Name, &MC{}, encMC, decMC)
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // EncodeState implements core.StateCodec: it serializes the full model
-// for the checkpoint subsystem, reusing the gob wire types that already
-// ship model snapshots to TCP workers.
+// for the checkpoint subsystem through gob, reusing the micro-cluster
+// registrations of RegisterWireTypes.
 func (a *Algorithm) EncodeState(m *core.Model) ([]byte, error) {
 	RegisterWireTypes()
 	return m.EncodeState()

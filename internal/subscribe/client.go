@@ -371,12 +371,7 @@ func (c *Client) apply(f modelFrame) error {
 	if err != nil {
 		return err
 	}
-	var mcs []core.MicroCluster
-	if differ, ok := algo.(core.SnapshotDiffer); ok {
-		mcs, err = differ.ApplyDelta(base, f.delta)
-	} else {
-		mcs, err = core.ApplyMCDelta(base, f.delta)
-	}
+	m, err := core.ApplySnapshotDelta(algo, base, f.delta)
 	if err != nil {
 		return err
 	}
@@ -385,9 +380,9 @@ func (c *Client) apply(f modelFrame) error {
 		Checksum: f.checksum,
 		Batch:    f.batch,
 		Time:     f.time,
-		Params:   f.delta.Params,
-		MCs:      mcs,
-		Search:   algo.NewSnapshot(mcs),
+		Params:   m.Params,
+		MCs:      m.MCs,
+		Search:   m.Search,
 	}
 	// OnUpdate runs before the new replica becomes visible, so once
 	// WaitVersion (or Replica) observes a version, the callback for it

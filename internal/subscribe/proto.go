@@ -1,8 +1,6 @@
 package subscribe
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"diststream/internal/core"
@@ -39,7 +37,7 @@ const (
 	protoMagic = "DSUB"
 	// protoVersion is bumped on incompatible protocol changes; the hub
 	// rejects hellos with a different version.
-	protoVersion = 1
+	protoVersion = 2
 )
 
 // Server frame kinds (first payload byte).
@@ -47,12 +45,6 @@ const (
 	kindModel     = 1
 	kindHeartbeat = 2
 	kindGoodbye   = 3
-)
-
-// Delta payload encodings inside a model frame.
-const (
-	encWire = 1 // internal/wire columnar (needs a registered MC codec)
-	encGob  = 2 // encoding/gob fallback (needs gob type registration)
 )
 
 // maxHelloSize bounds the hello frame a hub will read: the fixed fields
@@ -114,23 +106,13 @@ type modelFrame struct {
 	delta *core.SnapshotDelta
 }
 
-// encodeModelPayload builds a model frame payload. The delta goes
-// through the columnar codec when the algorithm registered one and
-// falls back to gob otherwise — the same two-tier encoding the TCP
-// executor uses for broadcast values.
+// encodeModelPayload builds a model frame payload: the header, then the
+// delta as one wire model frame — the same encoding the TCP executor
+// ships to workers.
 func encodeModelPayload(version, checksum uint64, batch int, t vclock.Time, d *core.SnapshotDelta) ([]byte, error) {
-	var (
-		body []byte
-		tag  byte
-	)
-	if b, ok := wire.EncodeValue(d); ok {
-		body, tag = b, encWire
-	} else {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-			return nil, fmt.Errorf("subscribe: encode delta v%d: %w", version, err)
-		}
-		body, tag = buf.Bytes(), encGob
+	body, err := wire.EncodeModel(d)
+	if err != nil {
+		return nil, fmt.Errorf("subscribe: %w", err)
 	}
 	e := wire.NewEnc(32 + len(body))
 	e.Byte(kindModel)
@@ -139,13 +121,12 @@ func encodeModelPayload(version, checksum uint64, batch int, t vclock.Time, d *c
 	e.Uint(checksum)
 	e.Int(int64(batch))
 	e.F64(float64(t))
-	e.Byte(tag)
 	e.Uint(uint64(len(body)))
 	return append(e.Bytes(), body...), nil
 }
 
 // decodeModelHeader reads just the fixed header, leaving the decoder
-// positioned at the encoding tag. The drain path stops here.
+// positioned at the model body. The drain path stops here.
 func decodeModelHeader(d *wire.Dec) (modelHeader, error) {
 	h := modelHeader{
 		version:     d.Uint(),
@@ -165,8 +146,6 @@ func decodeModelPayload(d *wire.Dec) (modelFrame, error) {
 	if err != nil {
 		return modelFrame{}, err
 	}
-	f := modelFrame{modelHeader: h}
-	tag := d.Byte()
 	// The body was appended as a uvarint length plus raw bytes — the
 	// same layout as a wire string — so String recovers it in one
 	// bounded read.
@@ -174,24 +153,9 @@ func decodeModelPayload(d *wire.Dec) (modelFrame, error) {
 	if err := d.Err(); err != nil {
 		return modelFrame{}, err
 	}
-	switch tag {
-	case encWire:
-		v, err := wire.DecodeValue(body)
-		if err != nil {
-			return modelFrame{}, err
-		}
-		delta, ok := v.(*core.SnapshotDelta)
-		if !ok {
-			return modelFrame{}, fmt.Errorf("subscribe: model frame decoded to %T", v)
-		}
-		f.delta = delta
-	case encGob:
-		f.delta = new(core.SnapshotDelta)
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(f.delta); err != nil {
-			return modelFrame{}, fmt.Errorf("subscribe: gob delta: %w", err)
-		}
-	default:
-		return modelFrame{}, fmt.Errorf("subscribe: unknown delta encoding %d", tag)
+	f := modelFrame{modelHeader: h}
+	if f.delta, err = wire.DecodeModel(body); err != nil {
+		return modelFrame{}, err
 	}
 	if f.delta.Version != f.version || f.delta.FromVersion != f.fromVersion || f.delta.Checksum != f.checksum {
 		return modelFrame{}, fmt.Errorf("subscribe: frame header (v%d←%d sum %#x) disagrees with delta (v%d←%d sum %#x)",

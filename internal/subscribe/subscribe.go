@@ -149,16 +149,7 @@ type entry struct {
 // call on ready entries.
 func (e *entry) fullSnapshotPayload(h *Hub) ([]byte, error) {
 	e.fullOnce.Do(func() {
-		d := &core.SnapshotDelta{
-			Params:   e.params,
-			Version:  e.version,
-			Order:    make([]uint64, len(e.mcs)),
-			Upserts:  e.mcs,
-			Checksum: e.checksum,
-		}
-		for i, mc := range e.mcs {
-			d.Order[i] = mc.ID()
-		}
+		d := core.FullDelta(e.params, e.version, e.mcs)
 		e.fullPayload, e.fullErr = encodeModelPayload(e.version, e.checksum, e.batch, e.time, d)
 		if e.fullErr != nil {
 			h.metrics.encodeErrors.Add(1)

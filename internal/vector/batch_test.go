@@ -170,9 +170,9 @@ func TestNormExpansionErrorHighDim(t *testing.T) {
 // winning index and distance.
 func FuzzBatchNearest(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(4), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint8(0), uint8(7), uint8(3), []byte{9})           // empty record block
-	f.Add(uint8(5), uint8(0), uint8(3), []byte{})            // empty centers
-	f.Add(uint8(65), uint8(67), uint8(2), []byte{0xff, 0})   // straddles tileRows(2)=64
+	f.Add(uint8(0), uint8(7), uint8(3), []byte{9})            // empty record block
+	f.Add(uint8(5), uint8(0), uint8(3), []byte{})             // empty centers
+	f.Add(uint8(65), uint8(67), uint8(2), []byte{0xff, 0})    // straddles tileRows(2)=64
 	f.Add(uint8(9), uint8(5), uint8(255), []byte{0xf8, 0x7f}) // high dim, tiny tiles
 	f.Fuzz(func(t *testing.T, nRecs, nRows, nCols uint8, raw []byte) {
 		n := int(nRecs % 80)

@@ -8,9 +8,6 @@ import "fmt"
 // the per-row pointer chase of a []Vector into a sequential sweep the
 // hardware prefetcher can follow, and lets the kernels run their inner
 // loops over re-sliced rows with bounds checks hoisted out.
-//
-// Fields are exported so a Matrix travels over gob inside broadcast
-// snapshots.
 type Matrix struct {
 	Data []float64
 	Rows int

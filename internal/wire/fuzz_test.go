@@ -124,7 +124,7 @@ func FuzzWireCodec(f *testing.F) {
 		if p, err := wire.DecodePartition(data); err == nil && p == nil {
 			t.Error("DecodePartition returned nil partition with nil error")
 		}
-		_, _ = wire.DecodeValue(data)
+		_, _ = wire.DecodeModel(data)
 
 		// Property 2: differential against gob.
 		part := partitionFromBytes(data)

@@ -1,6 +1,6 @@
 // Package wire implements the hand-rolled columnar encoding for the TCP
 // executor's hot frames: record partitions, keyed records, shuffled
-// groups, local-update outputs and snapshot deltas. The hot payloads of
+// groups, local-update outputs and model frames. The hot payloads of
 // every batch are numeric and homogeneous, so instead of gob's
 // reflection-driven per-item walk they are laid out as length-prefixed
 // columns — all sequence numbers together as varints, all timestamps
@@ -8,23 +8,29 @@
 // block — which encodes with straight loops and decodes into shared
 // backing arrays.
 //
-// The codec is deliberately partial: EncodePartition and EncodeValue
-// report ok=false for anything they cannot express (unknown user item
-// types, mixed shapes, micro-clusters without a registered codec), and
-// the caller keeps shipping those through gob. Control frames — task
-// headers, faults, full snapshots — stay on gob entirely, so wire-format
-// extensibility is preserved where it matters and bytes are saved where
-// they dominate.
+// A model version crosses every socket in one form, the model frame: a
+// core.SnapshotDelta, where a full model is the delta from the empty
+// model. EncodeModel is the one place that chooses its encoding —
+// columnar when the algorithm registered a micro-cluster codec, gob
+// inside the frame otherwise — for the TCP executor and the
+// subscription hub alike. Task partitions are partial the other way:
+// EncodePartition reports ok=false for shapes it cannot express
+// (unknown user item types, mixed shapes, micro-clusters without a
+// registered codec), and the caller ships those through gob. Control
+// frames — task headers, faults, the task config — stay on gob
+// entirely.
 //
 // Decoding never trusts the input: counts are bounded by the remaining
 // byte budget before any allocation, all reads go through a sticky-error
 // cursor, and corrupt or truncated frames return an error — never panic
-// (FuzzWireCodec holds the codec to that, differentially against a gob
-// reference).
+// (FuzzWireCodec and FuzzModelFrame hold the codec to that, the former
+// differentially against a gob reference).
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -45,11 +51,12 @@ const formatVersion = 1
 
 // Frame shapes (second byte).
 const (
-	shapeRecords      = 1 // []stream.Record
-	shapeKeyedRecords = 2 // []KeyedItem / []*KeyedItem carrying records
-	shapeGroups       = 3 // []mbsp.Group of records (post-shuffle)
-	shapeUpdates      = 4 // []core.Update with codec-registered MCs
-	shapeDelta        = 9 // *core.SnapshotDelta (broadcast value)
+	shapeRecords      = 1  // []stream.Record
+	shapeKeyedRecords = 2  // []KeyedItem / []*KeyedItem carrying records
+	shapeGroups       = 3  // []mbsp.Group of records (post-shuffle)
+	shapeUpdates      = 4  // []core.Update with codec-registered MCs
+	shapeDelta        = 9  // *core.SnapshotDelta, columnar (model frame)
+	shapeDeltaGob     = 10 // *core.SnapshotDelta, gob (model frame without an MC codec)
 )
 
 // ErrCorrupt wraps every decode failure: the frame is truncated,
@@ -386,18 +393,24 @@ func DecodePartition(data []byte) (mbsp.Partition, error) {
 	return nil, fmt.Errorf("%w: unknown partition shape %d", ErrCorrupt, shape)
 }
 
-// EncodeValue encodes a broadcast value columnar; today that is the
-// snapshot delta. ok=false means the caller must use gob.
-func EncodeValue(v mbsp.Item) ([]byte, bool) {
-	delta, ok := v.(*core.SnapshotDelta)
-	if !ok {
-		return nil, false
+// EncodeModel encodes one model frame. It is the single decision point
+// between columnar and gob for a model version on a socket: columnar
+// when d's algorithm registered a micro-cluster codec, gob otherwise
+// (its micro-cluster types must then be gob-registered on both ends).
+func EncodeModel(d *core.SnapshotDelta) ([]byte, error) {
+	if b, ok := encodeDelta(d); ok {
+		return b, nil
 	}
-	return encodeDelta(delta)
+	var buf bytes.Buffer
+	buf.Write([]byte{formatVersion, shapeDeltaGob})
+	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+		return nil, fmt.Errorf("wire: encode model v%d: %w", d.Version, err)
+	}
+	return buf.Bytes(), nil
 }
 
-// DecodeValue decodes a columnar broadcast value.
-func DecodeValue(data []byte) (mbsp.Item, error) {
+// DecodeModel decodes an EncodeModel frame.
+func DecodeModel(data []byte) (*core.SnapshotDelta, error) {
 	d := NewDec(data)
 	if v := d.Byte(); d.Err() == nil && v != formatVersion {
 		return nil, fmt.Errorf("%w: format version %d", ErrCorrupt, v)
@@ -406,10 +419,36 @@ func DecodeValue(data []byte) (mbsp.Item, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if shape != shapeDelta {
-		return nil, fmt.Errorf("%w: unknown value shape %d", ErrCorrupt, shape)
+	switch shape {
+	case shapeDelta:
+		return decodeDelta(d)
+	case shapeDeltaGob:
+		delta := new(core.SnapshotDelta)
+		if err := gob.NewDecoder(bytes.NewReader(d.data)).Decode(delta); err != nil {
+			return nil, fmt.Errorf("%w: gob model: %v", ErrCorrupt, err)
+		}
+		return delta, nil
 	}
-	return decodeDelta(d)
+	return nil, fmt.Errorf("%w: unknown model shape %d", ErrCorrupt, shape)
+}
+
+// EncodeValue encodes a TCP broadcast value. Model values — a
+// *core.SnapshotDelta, or a *core.ModelBroadcast, which ships as the
+// delta from the empty model — become model frames (DecodeModel reads
+// them back); ok=false means v is no model value and the caller ships it
+// through gob.
+func EncodeValue(v mbsp.Item) (frame []byte, ok bool, err error) {
+	var d *core.SnapshotDelta
+	switch m := v.(type) {
+	case *core.SnapshotDelta:
+		d = m
+	case *core.ModelBroadcast:
+		d = core.FullDelta(m.Params, m.Version, m.MCs)
+	default:
+		return nil, false, nil
+	}
+	frame, err = EncodeModel(d)
+	return frame, true, err
 }
 
 // dimOf reads a claimed record dimensionality and bounds n*dim against

@@ -199,21 +199,34 @@ func TestDeltaValueRoundTrip(t *testing.T) {
 		Upserts:     []core.MicroCluster{clMC(4, 3, 1, 2), clMC(9, 1, math.Inf(1), -0.0)},
 		Checksum:    0xdeadbeefcafe,
 	}
-	cols, ok := wire.EncodeValue(delta)
-	if !ok {
-		t.Fatal("EncodeValue declined a registered snapshot delta")
+	cols, ok, err := wire.EncodeValue(delta)
+	if !ok || err != nil {
+		t.Fatalf("EncodeValue declined a registered snapshot delta: ok=%v err=%v", ok, err)
 	}
-	got, err := wire.DecodeValue(cols)
+	got, err := wire.DecodeModel(cols)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bitEqual(got, delta) {
 		t.Fatalf("decoded delta = %+v, want %+v", got, delta)
 	}
-	// Unknown algorithm name: encode declines, caller falls back to gob.
-	bad := &core.SnapshotDelta{Params: core.Params{Name: "no-such-algo"}}
-	if _, ok := wire.EncodeValue(bad); ok {
-		t.Error("EncodeValue accepted a delta without a registered codec")
+	// Unknown algorithm name: the model frame carries the delta through
+	// gob, and it decodes to the same value.
+	bad := *delta
+	bad.Params.Name = "no-such-algo"
+	gobbed, ok, err := wire.EncodeValue(&bad)
+	if !ok || err != nil {
+		t.Fatalf("EncodeValue declined a delta without a registered codec: ok=%v err=%v", ok, err)
+	}
+	if bytes.Equal(gobbed[:2], cols[:2]) {
+		t.Errorf("codec-less delta shares the columnar frame header % x", cols[:2])
+	}
+	if got, err := wire.DecodeModel(gobbed); err != nil || !bitEqual(got, &bad) {
+		t.Fatalf("gob model frame round trip = %+v, %v; want %+v", got, err, &bad)
+	}
+	// Values that are no model pass through untouched.
+	if _, ok, _ := wire.EncodeValue(core.Params{}); ok {
+		t.Error("EncodeValue claimed a non-model value")
 	}
 }
 
@@ -230,7 +243,7 @@ func TestCorruptFramesError(t *testing.T) {
 	if _, err := wire.DecodePartition([]byte{99, 1}); err == nil {
 		t.Error("wrong format version accepted")
 	}
-	if _, err := wire.DecodeValue([]byte{1, 42}); err == nil {
+	if _, err := wire.DecodeModel([]byte{1, 42}); err == nil {
 		t.Error("unknown value shape accepted")
 	}
 }
